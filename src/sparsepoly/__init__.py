@@ -4,8 +4,8 @@ Polynomials are maps from terms to nonzero coefficients, terms are maps
 from symbols to nonzero integer powers (negative powers welcome), and
 everything on top (parsing, ring arithmetic, substitution, calculus,
 series tooling, hash-disciplined coefficient access) is a pure function
-over those maps.  The multiply kernel runs compiled when the optional
-extension is built; ``backend_name()`` reports which one is live.
+over those maps.  The whole package is pure Python; ``backend_name()``
+names its multiply kernel and always returns ``"python"``.
 """
 
 from ._kernel import backend_name

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from typing import Optional, Sequence, Union
 
-from .core import Mvp, check_power
+from .core import Mvp, check_power, require_symbol
 from .parser import parse_or_lift
 
 
@@ -46,7 +46,7 @@ def deriv(p: Mvp, variables: Union[str, Sequence[str]]) -> Mvp:
         variables = [variables]
     terms = p._terms
     for s in variables:
-        terms = _deriv_once(terms, s)
+        terms = _deriv_once(terms, require_symbol(s))
     return Mvp._from_clean(terms)
 
 
@@ -61,6 +61,7 @@ def aderiv(p: Mvp, orders: Optional[dict] = None, **by_name) -> Mvp:
     merged.update(by_name)
     sequence = []
     for s, k in merged.items():
+        require_symbol(s)
         k = operator.index(k)
         if k < 0:
             raise ValueError(f"derivative order for {s!r} must be nonnegative, got {k}")

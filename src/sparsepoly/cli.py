@@ -275,7 +275,10 @@ def _run(args) -> list[str]:
         return [_emit_poly(parse(e), args) for e in _expressions(args.expr)]
 
     if cmd == "subs":
-        bindings = [_split_assignment(b) for b in args.bindings]
+        bindings = []
+        for b in args.bindings:
+            name, value = _split_assignment(b)
+            bindings.append((name, parse(value)))
         out = []
         for e in _expressions(args.expr):
             result = subs(parse(e), bindings)

@@ -305,20 +305,31 @@ def canonical_json(p: Mvp) -> str:
 
 
 def from_json(text: str) -> Mvp:
-    """Rebuild a polynomial from its canonical JSON form."""
+    """Rebuild a polynomial from its canonical JSON form.
+
+    Raises ValueError on a malformed document, including a non-finite
+    coefficient, a boolean or non-integer power, or ``powers`` that is not
+    an object.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "terms" not in doc:
         raise ValueError("expected an object with a 'terms' array")
     pairs = []
     for entry in doc["terms"]:
         powers = entry["powers"]
-        coeff = entry["coeff"]
+        if not isinstance(powers, dict):
+            raise ValueError(f"'powers' must be an object, got {powers!r}")
+        coeff = float(entry["coeff"])
+        if not math.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient {coeff!r}")
         norm = {}
         for s, k in powers.items():
+            if isinstance(k, bool):
+                raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
             if isinstance(k, float):
                 if not k.is_integer():
                     raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
                 k = int(k)
             norm[s] = k
-        pairs.append((norm, float(coeff)))
+        pairs.append((norm, coeff))
     return Mvp(pairs)

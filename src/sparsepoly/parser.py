@@ -18,6 +18,8 @@ Parentheses and ``/`` are not part of the language.
 
 from __future__ import annotations
 
+import math
+
 from .core import INT64_MAX, INT64_MIN, Mvp
 
 _WS = " \t\r\n"
@@ -48,7 +50,8 @@ def parse(text: str) -> Mvp:
     """Parse an expression into a polynomial.
 
     Raises ParseError on empty input, dangling operators, invalid
-    exponents, and characters outside the grammar.
+    exponents, numbers too large for a double, and characters outside the
+    grammar.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
@@ -149,7 +152,10 @@ def _number(text: str, pos: int) -> tuple[float, int]:
             raise ParseError(pos, "invalid number: expected digits after '.'")
         while pos < n and _is_digit(text[pos]):
             pos += 1
-    return float(text[start:pos]), pos
+    value = float(text[start:pos])
+    if not math.isfinite(value):
+        raise ParseError(start, "number too large for a double")
+    return value, pos
 
 
 def _factor(text: str, pos: int) -> tuple[str, int, int]:

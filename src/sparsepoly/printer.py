@@ -51,7 +51,10 @@ def render(
 
     ``order="lex"`` takes an optional ``varorder`` giving the variable
     precedence (alphabetical by default); when given it must cover every
-    symbol of ``p``.  The output parses back to an equal polynomial.
+    symbol of ``p``.  The text parses back to an equal polynomial only
+    when every coefficient has at most 7 significant digits, since
+    ``format_number`` rounds to 7: ``parse(render(x / 3))`` differs from
+    ``x / 3``.  ``canonical_json`` is the lossless form.
     """
     if order == "canonical":
         if varorder is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import arith
 from ._kernel import mul_terms
-from .core import Mvp, check_power, constant
+from .core import Mvp, check_power, constant, require_symbol
 from .parser import parse_or_lift
 
 
@@ -29,7 +29,7 @@ class Binding:
 def _as_bindings(pairs, by_name) -> list[Binding]:
     out = []
     for symbol, value in list(pairs or []) + list(by_name.items()):
-        out.append(Binding(symbol, parse_or_lift(value)))
+        out.append(Binding(require_symbol(symbol), parse_or_lift(value)))
     return out
 
 
@@ -118,6 +118,8 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     """
     supplied = dict(bindings or {})
     supplied.update(by_name)
+    for s in supplied:
+        require_symbol(s)
     vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in supplied.items()}
 
     unbound = [s for s in p.symbols() if s not in vectors]

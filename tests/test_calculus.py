@@ -22,6 +22,8 @@ def test_deriv_order_does_not_matter():
 
 def test_deriv_accepts_single_name():
     assert deriv(parse("x^2"), "x") == parse("2 x")
+    with pytest.raises(ValueError, match="invalid symbol"):
+        deriv(parse("x^2"), "1bad")
 
 
 def test_deriv_negative_power_rule():
@@ -48,6 +50,8 @@ def test_aderiv_zero_order_is_identity():
 def test_aderiv_rejects_negative_order():
     with pytest.raises(ValueError):
         aderiv(S, a=-1)
+    with pytest.raises(ValueError, match="invalid symbol"):
+        aderiv(S, {"1bad": 0})
 
 
 def test_aderiv_equals_repeated_deriv():

@@ -272,6 +272,10 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "3 @@")
     assert code == 1
     assert "unexpected character" in err
+    code, out, err = run(capsys, "eval", "1" + "0" * 400 + " x")
+    assert code == 1
+    assert out == ""
+    assert "too large" in err
 
 
 def test_domain_error_exit_code(capsys):

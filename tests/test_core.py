@@ -146,6 +146,15 @@ def test_from_json_rejects_garbage():
         from_json("[1, 2]")
     with pytest.raises(ValueError):
         from_json('{"terms":[{"powers":{"x":1.5},"coeff":1.0}]}')
+    for bad in (
+        '{"terms":[{"powers":{"x":true},"coeff":NaN}]}',
+        '{"terms":[{"powers":{"x":true},"coeff":1.0}]}',
+        '{"terms":[{"powers":{"x":1},"coeff":NaN}]}',
+        '{"terms":[{"powers":{"x":1},"coeff":-Infinity}]}',
+        '{"terms":[{"powers":[["x",1]],"coeff":1.0}]}',
+    ):
+        with pytest.raises(ValueError):
+            from_json(bad)
 
 
 @given(strategies.mvps, strategies.mvps)

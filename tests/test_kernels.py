@@ -1,108 +1,128 @@
-"""Both multiply kernels must be observably identical."""
+"""The packed multiply path must be observably identical to the dict path."""
 
 import random
 
 import pytest
 
 from helpers import random_mvp
-from sparsepoly import PowerOverflowError, backend_name
-from sparsepoly import _kernel_py as pure
+from sparsepoly import PowerOverflowError, backend_name, knight
+from sparsepoly import _kernel
 
-try:
-    from sparsepoly import _kernel_c as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="extension not built")
+INT64_MAX = 2**63 - 1
 
 
 def test_backend_is_known():
-    assert backend_name() in {"c", "python"}
+    assert backend_name() == "python"
 
 
-def _random_term(rng):
-    pairs = {}
-    for s in rng.sample("abcdxyz", rng.randint(0, 4)):
-        k = rng.randint(-5, 5)
-        if k != 0:
-            pairs[s] = k
-    return tuple(sorted(pairs.items()))
+def _assert_bitwise_equal(got, want):
+    # Same terms in the same insertion order, coefficients equal bit for bit.
+    assert list(got) == list(want)
+    assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
 
 
-@needs_compiled
-def test_merge_terms_agree():
-    rng = random.Random(1)
-    for _ in range(300):
-        t1 = _random_term(rng)
-        t2 = _random_term(rng)
-        assert pure.merge_terms(t1, t2) == compiled.merge_terms(t1, t2)
+def _laurent(rng, n_terms, symbols, lo=-4, hi=4):
+    """Random Laurent terms with non-integer coefficients, constant term allowed."""
+    out = {}
+    for _ in range(n_terms):
+        term = {}
+        for s in rng.sample(symbols, rng.randint(0, len(symbols))):
+            k = rng.randint(lo, hi)
+            if k != 0:
+                term[s] = k
+        out[tuple(sorted(term.items()))] = rng.uniform(-2.0, 2.0) / 3.0
+    return out
 
 
-@needs_compiled
-def test_mul_terms_agree():
-    rng = random.Random(2)
-    for _ in range(100):
-        p = random_mvp(rng)._terms
-        q = random_mvp(rng)._terms
-        assert pure.mul_terms(p, q) == compiled.mul_terms(p, q)
+def _input_pairs():
+    rng = random.Random(4)
+    pairs = []
+    for _ in range(60):
+        pairs.append((random_mvp(rng)._terms, random_mvp(rng)._terms))
+    for n in (1, 3, 8, 20, 60):
+        pairs.append((_laurent(rng, n, "abc"), _laurent(rng, 2 * n, "abc")))
+        pairs.append((_laurent(rng, n, "abcdefghij"), _laurent(rng, n, "abcdefghij")))
+    x_plus_1 = {(("x", 1),): 1.0, (): 1.0}
+    x_minus_1 = {(("x", 1),): 1.0, (): -1.0}
+    k = knight(3)._terms
+    pairs += [
+        (x_plus_1, x_minus_1),  # the x and -x cross terms cancel exactly
+        ({(): 0.1}, {(): 3.0}),  # constant times constant
+        ({(): 2.5}, _laurent(rng, 10, "xy")),
+        ({}, x_plus_1),
+        (x_plus_1, {}),
+        ({}, {}),
+        (k, k),
+        (_kernel.mul_terms_dict(k, k), k),
+    ]
+    return pairs
 
 
-@needs_compiled
-def test_compiled_overflow_matches_pure():
-    big = {(("x", 2**62),): 1.0}
-    with pytest.raises(PowerOverflowError):
-        pure.mul_terms(big, big)
-    with pytest.raises(PowerOverflowError):
-        compiled.mul_terms(big, big)
+def _packed(p, q):
+    """The packed path, whatever the size of its key space."""
+    return _kernel._mul_packed(p, q, _kernel._columns(p, q))
 
 
-@needs_compiled
-def test_compiled_exact_zero_cancellation():
+def test_packed_equals_dict_bitwise():
+    for p, q in _input_pairs():
+        want = _kernel.mul_terms_dict(p, q)
+        _assert_bitwise_equal(_packed(p, q), want)
+        _assert_bitwise_equal(_kernel.mul_terms(p, q), want)
+
+
+def test_exact_cancellation_leaves_no_zero():
     p = {(("x", 1),): 1.0, (): 1.0}
     q = {(("x", 1),): 1.0, (): -1.0}
-    # (x + 1)(x - 1): the x and -x cross terms cancel exactly
-    for impl in (pure, compiled):
-        out = impl.mul_terms(p, q)
-        assert out == {(("x", 2),): 1.0, (): -1.0}
+    assert _packed(p, q) == {(("x", 2),): 1.0, (): -1.0}
 
 
-def test_instrumented_count_is_pairwise():
-    rng = random.Random(3)
-    for _ in range(20):
-        p = random_mvp(rng)._terms
-        q = random_mvp(rng)._terms
-        out, count = pure.mul_terms_with_count(p, q)
-        assert count == len(p) * len(q)
-        assert count <= max(len(p), len(q)) ** 2
-        assert out == pure.mul_terms(p, q)
+def test_path_selection(monkeypatch):
+    packed_calls = []
+    real = _kernel._mul_packed
+
+    def spy(p, q, columns):
+        packed_calls.append((len(p), len(q)))
+        return real(p, q, columns)
+
+    monkeypatch.setattr(_kernel, "_mul_packed", spy)
+    rng = random.Random(5)
+    k = knight(4)._terms
+    k2 = _kernel.mul_terms(k, k)  # key space 9^4, above the 48^2 pairs
+    _kernel.mul_terms(k2, k2)  # key space 17^4, below the pair count
+    assert packed_calls == [(len(k2), len(k2))]
+
+    packed_calls.clear()
+    few = {(("x", i),): 1.0 for i in range(1, 4)}
+    _kernel.mul_terms(few, few)  # collisions are certain, but too few terms
+    wide = _laurent(rng, 30, "abcdefghijklmnop")
+    _kernel.mul_terms(wide, wide)  # key space far above the pair count
+    assert packed_calls == []
 
 
-def test_backend_env_override():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+_EIGHT_ABOVE = {(("x", 2**62 + i),): 1.0 for i in range(8)}
+_EIGHT_BELOW = {(("x", 2**62 - 8 + i),): 1.0 for i in range(8)}  # top sum 2^63 - 2
 
-    import sparsepoly
 
-    # The child must import the same sparsepoly as this process, whether
-    # it comes from an install or from a source tree on PYTHONPATH.
-    package_root = str(Path(sparsepoly.__file__).parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = package_root + (os.pathsep + inherited if inherited else "")
-
-    script = "import sparsepoly; print(sparsepoly.backend_name())"
-    for requested in ("python", "c"):
-        env = dict(os.environ, SPARSEPOLY_BACKEND=requested, PYTHONPATH=pythonpath)
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if requested == "c" and compiled is None:
-            assert out.returncode != 0, out.stdout
-            assert "SPARSEPOLY_BACKEND=c but the compiled kernel is not built" in out.stderr
-            continue
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == requested, out.stderr
+@pytest.mark.parametrize(
+    "p, q, overflows",
+    [
+        ({(("x", 2**62),): 1.0}, {(("x", 2**62),): 1.0}, True),
+        ({(("x", -(2**62)),): 1.0}, {(("x", -(2**62) - 1),): 1.0}, True),
+        ({(("x", 2**62),): 1.0}, {(("x", 2**62 - 1),): 1.0}, False),
+        ({(("x", -(2**62)),): 1.0}, {(("x", -(2**62)),): 1.0}, False),
+        # the extreme powers sit in terms without a common symbol
+        ({(("x", INT64_MAX),): 1.0, (): 2.0}, {(("y", 1),): 1.0, (): 1.0}, False),
+        ({(("x", INT64_MAX), ("y", 1)): 1.0}, {(("x", 1), ("y", -1)): 1.0}, True),
+        ({(("x", INT64_MAX),): 1.0}, {}, False),
+        # eight terms each and a key space of 15: mul_terms takes the packed path
+        (_EIGHT_ABOVE, _EIGHT_ABOVE, True),
+        (_EIGHT_BELOW, _EIGHT_BELOW, False),
+    ],
+)
+def test_overflow_raised_by_both_paths_alike(p, q, overflows):
+    for path in (_kernel.mul_terms_dict, _packed, _kernel.mul_terms):
+        if overflows:
+            with pytest.raises(PowerOverflowError):
+                path(p, q)
+        else:
+            _assert_bitwise_equal(path(p, q), _kernel.mul_terms_dict(p, q))

@@ -99,6 +99,17 @@ def test_huge_exponent_rejected():
         parse(f"x^{2**63}")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("1" + "0" * 400 + " x", 0), ("x - 2 " + "9" * 400, 6)],
+    ids=["leading", "trailing"],
+)
+def test_number_too_large_for_a_double_rejected(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == position
+
+
 @st.composite
 def grammar_expressions(draw):
     """Strings built from the grammar itself; parse must accept them all."""

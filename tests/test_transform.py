@@ -37,6 +37,8 @@ def test_subs_order_dependence():
 def test_subs_explicit_binding_list_can_repeat_symbols():
     p = parse("x")
     assert subs(p, [("x", "x + 1"), ("x", "x + 1")], lose=False) == parse("x + 2")
+    with pytest.raises(ValueError, match="invalid symbol"):
+        subs(p, [("1bad", 2)], lose=False)
 
 
 def test_subs_identity_binding():
@@ -99,6 +101,8 @@ def test_subvec_constant_recycles():
 def test_subvec_unbound_symbol():
     with pytest.raises(ValueError, match="unbound"):
         subvec(parse("x + y"), x=[1, 2])
+    with pytest.raises(ValueError, match="invalid symbol"):
+        subvec(parse("x"), {"x": [1, 2], "1bad": [3, 4]})
 
 
 def test_subvec_length_mismatch():
