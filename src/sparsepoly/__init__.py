@@ -3,15 +3,19 @@
 Polynomials are maps from terms to nonzero coefficients, terms are maps
 from symbols to nonzero integer powers (negative powers welcome), and
 everything on top (parsing, ring arithmetic, substitution, calculus,
-series tooling, hash-disciplined coefficient access) is a pure function
-over those maps.  The whole package is pure Python; ``backend_name()``
-names its multiply kernel and always returns ``"python"``.
+series tooling, hash-disciplined coefficient access, the paper's knight
+and random-polynomial examples) is a pure function over those maps.  The
+command-line front end (``sparsepoly.cli``) sits on top of the library
+and nothing in the library imports it.  The whole package is pure
+Python; numpy is loaded only when ``subvec`` first runs.
+``backend_name()`` names the multiply kernel and always returns
+``"python"``.
 """
 
 from ._kernel import backend_name
 from .arith import add, multiply, negate, power, scale, subtract
 from .calculus import aderiv, deriv, horner
-from .cli import expected_distance, knight, main, rmvp
+from .cli import main
 from .core import (
     Mvp,
     PowerOverflowError,
@@ -33,15 +37,12 @@ from .disord import (
     HashMismatch,
     PowerRow,
     coeffs,
-    disord_assign,
-    disord_filter,
-    disord_map,
-    disord_zip,
     powers,
     provenance_hash,
     set_coeffs,
     variables,
 )
+from .examples import expected_distance, knight, rmvp
 from .parser import ParseError, parse, parse_or_lift
 from .printer import format_number, render, render_series
 from .series import (
@@ -76,10 +77,6 @@ __all__ = [
     "coeffs",
     "constant",
     "deriv",
-    "disord_assign",
-    "disord_filter",
-    "disord_map",
-    "disord_zip",
     "equals",
     "equals_approx",
     "expected_distance",

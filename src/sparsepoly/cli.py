@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end over the library.
 
 Every polynomial-consuming subcommand takes the expression inline or as
 ``-`` to read newline-separated expressions from stdin (one output line
 per input line), which makes shell pipelines the composition idiom:
 
     sparsepoly eval "a+b+c" | sparsepoly subs - a=x^6 | sparsepoly subs - x=1+a
+
+A stdin line that starts with ``{`` is read as canonical JSON, so
+``--json`` output pipes into the next stage without rounding.
 
 Exit codes: 0 success, 1 parse or domain error, 2 provenance-hash
 mismatch.
@@ -13,96 +16,18 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import math
-import random
-import string
 import sys
-import time
 from typing import Optional, Sequence
 
 from . import arith
 from .calculus import aderiv, deriv, horner
-from .core import Mvp, PowerOverflowError, canonical_json, constant
+from .core import Mvp, PowerOverflowError, canonical_json, constant, from_json
 from .disord import HashMismatch, coeffs, powers
+from .examples import expected_distance, knight, rmvp
 from .parser import ParseError, parse
 from .printer import format_number, render, render_series
 from .series import onevarpow, series, taylor, trunc, trunc1
 from .transform import subs, subvec
-
-
-def knight(dimension: int) -> Mvp:
-    """Generating function of a knight's moves on a board of that dimension.
-
-    One unit-coefficient term per move: an ordered pair of distinct
-    coordinates, the first stepped by +-2 and the second by +-1, over the
-    symbols a, b, c, ...; 4*d*(d-1) terms in dimension d.
-    """
-    if dimension < 1:
-        raise ValueError(f"dimension must be at least 1, got {dimension}")
-    if dimension > 26:
-        raise ValueError("dimension capped at 26 (one letter per coordinate)")
-    syms = string.ascii_lowercase[:dimension]
-    out = {}
-    for i in range(dimension):
-        for j in range(dimension):
-            if i == j:
-                continue
-            for si in (2, -2):
-                for sj in (1, -1):
-                    term = tuple(sorted(((syms[i], si), (syms[j], sj))))
-                    out[term] = 1.0
-    return Mvp._from_clean(out)
-
-
-def rmvp(
-    n_terms: int,
-    symbols_per_term: int,
-    max_power: int,
-    alphabet,
-    seed: int = 0,
-) -> Mvp:
-    """Random polynomial, deterministic for a fixed seed.
-
-    Each of ``n_terms`` monomials multiplies ``symbols_per_term`` uniform
-    draws from the alphabet (an iterable of names, or a pool size meaning
-    the first k letters), each with a uniform power in [1, max_power];
-    repeated draws merge by power addition.  Coefficients are uniform in
-    {1, ..., n_terms} and like terms combine, so the result has at most
-    ``n_terms`` terms.
-    """
-    if n_terms < 1 or symbols_per_term < 1 or max_power < 1:
-        raise ValueError("rmvp arguments must be positive")
-    if isinstance(alphabet, int):
-        if not 1 <= alphabet <= 26:
-            raise ValueError("alphabet size must be between 1 and 26")
-        pool = list(string.ascii_lowercase[:alphabet])
-    else:
-        pool = list(alphabet)
-        if not pool:
-            raise ValueError("alphabet must not be empty")
-    rng = random.Random(seed)
-    out: dict = {}
-    for _ in range(n_terms):
-        coeff = float(rng.randint(1, n_terms))
-        merged: dict = {}
-        for _ in range(symbols_per_term):
-            s = rng.choice(pool)
-            merged[s] = merged.get(s, 0) + rng.randint(1, max_power)
-        term = tuple(sorted(merged.items()))
-        c = out.get(term, 0.0) + coeff
-        if c == 0.0:
-            out.pop(term, None)
-        else:
-            out[term] = c
-    return Mvp._from_clean(out)
-
-
-def expected_distance(p: Mvp) -> float:
-    """Coefficient-weighted mean Euclidean norm of the power vectors."""
-    rows = powers(p)
-    cs = coeffs(p)
-    norms = rows.map(lambda r: math.sqrt(sum(k * k for k in r.powers)))
-    return norms.zip_with(cs, lambda n, c: n * c).sum() / cs.sum()
 
 
 class _UsageError(Exception):
@@ -121,29 +46,33 @@ def _split_assignment(text: str) -> tuple[str, str]:
     return name, value
 
 
-def _int_assignments(pairs: Sequence[str]) -> dict:
-    out = {}
-    for item in pairs:
-        name, value = _split_assignment(item)
-        out[name] = int(value)
-    return out
+def _int_assignment(text: str) -> tuple[str, int]:
+    name, value = _split_assignment(text)
+    return name, int(value)
 
 
 def _number(token: str) -> float:
-    if "/" in token:
-        num, _, den = token.partition("/")
-        return float(num) / float(den)
-    return float(token)
+    num, slash, den = token.partition("/")
+    divisor = float(den) if slash else 1.0
+    if divisor == 0.0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return float(num) / divisor
 
 
 def _number_list(text: str) -> list[float]:
     return [_number(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _expressions(expr_arg: str) -> list[str]:
-    if expr_arg == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
-    return [expr_arg]
+def _polys(expr_arg: str) -> list[Mvp]:
+    """The inline expression, or with ``-`` every nonblank stdin line."""
+    if expr_arg != "-":
+        return [parse(expr_arg)]
+    out = []
+    for line in sys.stdin:
+        line = line.strip()
+        if line:
+            out.append(from_json(line) if line.startswith("{") else parse(line))
+    return out
 
 
 def _emit_poly(p: Mvp, args) -> str:
@@ -201,12 +130,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("aderiv", help="mixed partial of given orders")
     p.add_argument("expr")
-    p.add_argument("orders", nargs="+", metavar="name=k")
+    p.add_argument("orders", nargs="+", metavar="name=k", type=_int_assignment)
     poly_flags(p)
 
     p = sub.add_parser("horner", help="sum of c_i * EXPR^i by Horner's scheme")
     p.add_argument("expr")
-    p.add_argument("coefficients", metavar="c0,c1,...")
+    p.add_argument("coefficients", metavar="c0,c1,...", type=_number_list)
     poly_flags(p)
 
     p = sub.add_parser("trunc", help="keep terms of total degree <= N")
@@ -216,12 +145,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("trunc1", help="keep terms with per-symbol power <= limit")
     p.add_argument("expr")
-    p.add_argument("limits", nargs="+", metavar="name=k")
+    p.add_argument("limits", nargs="+", metavar="name=k", type=_int_assignment)
     poly_flags(p)
 
     p = sub.add_parser("onevarpow", help="extract the factor of an exact power pattern")
     p.add_argument("expr")
-    p.add_argument("targets", nargs="+", metavar="name=k")
+    p.add_argument("targets", nargs="+", metavar="name=k", type=_int_assignment)
     poly_flags(p)
 
     p = sub.add_parser("series", help="decompose into powers of one variable")
@@ -260,19 +189,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     poly_flags(p)
 
-    p = sub.add_parser("bench", help="micro-benchmark of multiply and pow")
-    p.add_argument("--terms", type=int, default=200)
-    p.add_argument("--symbols", type=int, default=4)
-    p.add_argument("--trials", type=int, default=5)
-
     return top
+
+
+# Commands that turn each input polynomial into one output line.
+_PER_LINE = {
+    "eval": _emit_poly,
+    "deriv": lambda p, args: _emit_poly(deriv(p, args.variables), args),
+    "aderiv": lambda p, args: _emit_poly(aderiv(p, dict(args.orders)), args),
+    "horner": lambda p, args: _emit_poly(horner(p, args.coefficients), args),
+    "trunc": lambda p, args: _emit_poly(trunc(p, args.degree), args),
+    "trunc1": lambda p, args: _emit_poly(trunc1(p, dict(args.limits)), args),
+    "onevarpow": lambda p, args: _emit_poly(onevarpow(p, dict(args.targets)), args),
+    "series": lambda p, args: render_series(series(p, args.variable)),
+    "taylor": lambda p, args: render_series(taylor(p, args.variable, args.about)),
+    "coeffs": lambda p, args: str(coeffs(p)),
+    "powers": lambda p, args: str(powers(p)),
+}
 
 
 def _run(args) -> list[str]:
     cmd = args.command
 
-    if cmd == "eval":
-        return [_emit_poly(parse(e), args) for e in _expressions(args.expr)]
+    if cmd in _PER_LINE:
+        to_line = _PER_LINE[cmd]
+        return [to_line(p, args) for p in _polys(args.expr)]
 
     if cmd == "subs":
         bindings = []
@@ -280,8 +221,8 @@ def _run(args) -> list[str]:
             name, value = _split_assignment(b)
             bindings.append((name, parse(value)))
         out = []
-        for e in _expressions(args.expr):
-            result = subs(parse(e), bindings)
+        for p in _polys(args.expr):
+            result = subs(p, bindings)
             if isinstance(result, Mvp):
                 out.append(_emit_poly(result, args))
             else:
@@ -294,67 +235,10 @@ def _run(args) -> list[str]:
             name, value = _split_assignment(b)
             vectors[name] = _number_list(value)
         out = []
-        for e in _expressions(args.expr):
-            values = subvec(parse(e), vectors)
+        for p in _polys(args.expr):
+            values = subvec(p, vectors)
             out.append(" ".join(format_number(v) for v in values))
         return out
-
-    if cmd == "deriv":
-        return [
-            _emit_poly(deriv(parse(e), args.variables), args)
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "aderiv":
-        orders = _int_assignments(args.orders)
-        return [
-            _emit_poly(aderiv(parse(e), orders), args)
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "horner":
-        cs = _number_list(args.coefficients)
-        return [
-            _emit_poly(horner(parse(e), cs), args) for e in _expressions(args.expr)
-        ]
-
-    if cmd == "trunc":
-        return [
-            _emit_poly(trunc(parse(e), args.degree), args)
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "trunc1":
-        limits = _int_assignments(args.limits)
-        return [
-            _emit_poly(trunc1(parse(e), limits), args)
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "onevarpow":
-        targets = _int_assignments(args.targets)
-        return [
-            _emit_poly(onevarpow(parse(e), targets), args)
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "series":
-        return [
-            render_series(series(parse(e), args.variable))
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "taylor":
-        return [
-            render_series(taylor(parse(e), args.variable, args.about))
-            for e in _expressions(args.expr)
-        ]
-
-    if cmd == "coeffs":
-        return [str(coeffs(parse(e))) for e in _expressions(args.expr)]
-
-    if cmd == "powers":
-        return [str(powers(parse(e))) for e in _expressions(args.expr)]
 
     if cmd == "knight":
         k = knight(args.dimension)
@@ -363,7 +247,7 @@ def _run(args) -> list[str]:
         if args.constant:
             return [_emit_scalar(constant(k))]
         if args.onevarpow:
-            targets = _int_assignments(args.onevarpow.split(","))
+            targets = dict(_int_assignment(t) for t in args.onevarpow.split(","))
             return [_emit_poly(onevarpow(k, targets), args)]
         if args.expected_distance:
             return [format_number(expected_distance(k))]
@@ -378,26 +262,7 @@ def _run(args) -> list[str]:
         p = rmvp(args.n_terms, args.symbols_per_term, args.max_power, alphabet, args.seed)
         return [_emit_poly(p, args)]
 
-    if cmd == "bench":
-        return _bench(args.terms, args.symbols, args.trials)
-
     raise _UsageError(f"unknown command {cmd!r}")
-
-
-def _bench(n_terms: int, n_symbols: int, trials: int) -> list[str]:
-    p = rmvp(n_terms, 3, 4, n_symbols, seed=1)
-    q = rmvp(n_terms, 3, 4, n_symbols, seed=2)
-    rows = ["op,terms,symbols,trials,mean_ns"]
-    for op_name, fn in (
-        ("multiply", lambda: arith.multiply(p, q)),
-        ("pow", lambda: arith.power(p, 2)),
-    ):
-        start = time.perf_counter_ns()
-        for _ in range(trials):
-            fn()
-        mean_ns = (time.perf_counter_ns() - start) // max(trials, 1)
-        rows.append(f"{op_name},{n_terms},{n_symbols},{trials},{mean_ns}")
-    return rows
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

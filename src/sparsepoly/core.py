@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import re
+import sys
 from typing import Iterator, Mapping
 
 Symbol = str
@@ -25,6 +26,7 @@ Term = tuple
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+_DOUBLE_MAX = sys.float_info.max
 
 _SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -307,29 +309,32 @@ def canonical_json(p: Mvp) -> str:
 def from_json(text: str) -> Mvp:
     """Rebuild a polynomial from its canonical JSON form.
 
-    Raises ValueError on a malformed document, including a non-finite
-    coefficient, a boolean or non-integer power, or ``powers`` that is not
-    an object.
+    Raises ValueError on a malformed document: ``terms`` that is not an
+    array, a term that is not an object with ``powers`` and ``coeff``,
+    ``powers`` that is not an object, a boolean or non-integer power, or a
+    coefficient that is not a number of double range.
     """
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "terms" not in doc:
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    if not isinstance(terms, list):
         raise ValueError("expected an object with a 'terms' array")
     pairs = []
-    for entry in doc["terms"]:
-        powers = entry["powers"]
+    for entry in terms:
+        if not isinstance(entry, dict) or "powers" not in entry or "coeff" not in entry:
+            raise ValueError(f"expected a term object with 'powers' and 'coeff', got {entry!r}")
+        powers, coeff = entry["powers"], entry["coeff"]
         if not isinstance(powers, dict):
             raise ValueError(f"'powers' must be an object, got {powers!r}")
-        coeff = float(entry["coeff"])
-        if not math.isfinite(coeff):
-            raise ValueError(f"non-finite coefficient {coeff!r}")
+        # The range test also rejects NaN and integers too large for a double.
+        is_number = isinstance(coeff, (int, float)) and not isinstance(coeff, bool)
+        if not is_number or not -_DOUBLE_MAX <= coeff <= _DOUBLE_MAX:
+            raise ValueError(f"coefficient must be a finite number, got {coeff!r}")
         norm = {}
         for s, k in powers.items():
-            if isinstance(k, bool):
-                raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
-            if isinstance(k, float):
-                if not k.is_integer():
-                    raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
+            if isinstance(k, float) and k.is_integer():
                 k = int(k)
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
             norm[s] = k
-        pairs.append((norm, coeff))
+        pairs.append((norm, float(coeff)))
     return Mvp(pairs)

@@ -268,19 +268,3 @@ def set_coeffs(p: Mvp, d: Disord) -> Mvp:
         if c != 0.0:
             out[t] = c
     return Mvp._from_clean(out)
-
-
-def disord_map(d: Disord, f: Callable) -> Disord:
-    return d.map(f)
-
-
-def disord_zip(d1: Disord, d2: Disord, f: Callable) -> Disord:
-    return d1.zip_with(d2, f)
-
-
-def disord_filter(d: Disord, mask: Disord) -> Disord:
-    return d.filter(mask)
-
-
-def disord_assign(d: Disord, mask: Disord, replacement) -> Disord:
-    return d.assign(mask, replacement)

@@ -50,8 +50,9 @@ def parse(text: str) -> Mvp:
     """Parse an expression into a polynomial.
 
     Raises ParseError on empty input, dangling operators, invalid
-    exponents, numbers too large for a double, and characters outside the
-    grammar.
+    exponents, powers outside the signed 64-bit range (also when a repeated
+    symbol's powers sum out of it), numbers too large for a double, and
+    characters outside the grammar.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
@@ -115,8 +116,12 @@ def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
             value, pos = _number(text, pos)
             coeff *= value
         else:
+            start = pos
             name, k, pos = _factor(text, pos)
-            powers[name] = powers.get(name, 0) + k
+            k += powers.get(name, 0)
+            if not INT64_MIN <= k <= INT64_MAX:
+                raise ParseError(start, f"power {k} of {name} outside the signed 64-bit range")
+            powers[name] = k
 
         # What follows an atom decides whether the product continues: '*'
         # or whitespace before another atom means multiplication.

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import arith
 from ._kernel import mul_terms
 from .core import Mvp, check_power, constant, require_symbol
@@ -116,6 +114,10 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     (length-1 values are recycled).  Negative powers evaluate as real
     reciprocals.
     """
+    # Imported here, not at module level: numpy is most of the package's
+    # import time, and only this function needs it.
+    import numpy as np
+
     supplied = dict(bindings or {})
     supplied.update(by_name)
     for s in supplied:

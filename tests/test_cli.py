@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import sparsepoly
 import sparsepoly.cli as cli
-from sparsepoly import HashMismatch, knight, parse, rmvp
+from sparsepoly import HashMismatch, canonical_json, knight, parse, rmvp
 
 KNIGHT2 = (
     "a^-2 b^-1 + a^-2 b + a^-1 b^-2 + a^-1 b^2 + a b^-2 + a b^2"
@@ -77,6 +82,26 @@ def test_pipeline_via_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "subs", "-", "a=x^6")
     assert code == 0
     assert out == "b + c + x^6"
+
+
+def test_json_lines_on_stdin_are_lossless(capsys, monkeypatch):
+    code, first, _ = run(capsys, "eval", "--json", "0.1 a")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(first + "\n"))
+    code, out, _ = run(capsys, "eval", "-")
+    assert code == 0
+    assert out == "0.1 a"
+    # a third has no exact text form; through JSON it comes back bit for bit
+    third = canonical_json(parse("a") / 3)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{third}\n2 b\n"))
+    code, out, _ = run(capsys, "eval", "-", "--json")
+    assert code == 0
+    assert out.splitlines() == [third, canonical_json(parse("2 b"))]
+    half = '{"terms":[{"powers":{"a":1},"coeff":0.5}]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(half + "\n"))
+    code, out, _ = run(capsys, "subs", "-", "a=2")
+    assert code == 0
+    assert out == "1"
 
 
 def test_subvec(capsys):
@@ -255,19 +280,6 @@ def test_rmvp_alphabet_names(capsys):
     assert set(parse(out).symbols()) <= {"u", "v"}
 
 
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "--terms", "20", "--symbols", "3", "--trials", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "op,terms,symbols,trials,mean_ns"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        op, terms, symbols, trials, mean_ns = line.split(",")
-        assert op in {"multiply", "pow"}
-        assert (terms, symbols, trials) == ("20", "3", "2")
-        assert int(mean_ns) > 0
-
-
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "3 @@")
     assert code == 1
@@ -301,3 +313,21 @@ def test_hash_mismatch_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "x")
     assert code == 2
     assert "aaaa" in err
+
+
+def test_import_loads_no_numpy_and_binds_cli():
+    # numpy is most of the import time and only subvec needs it
+    src = Path(sparsepoly.__file__).resolve().parents[1]
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = (
+        "import sys, sparsepoly\n"
+        "assert 'numpy' not in sys.modules, 'import sparsepoly loaded numpy'\n"
+        "assert callable(sparsepoly.cli.main)\n"
+        "print(sparsepoly.__file__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()).resolve().parent == src / "sparsepoly"

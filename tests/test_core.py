@@ -152,6 +152,11 @@ def test_from_json_rejects_garbage():
         '{"terms":[{"powers":{"x":1},"coeff":NaN}]}',
         '{"terms":[{"powers":{"x":1},"coeff":-Infinity}]}',
         '{"terms":[{"powers":[["x",1]],"coeff":1.0}]}',
+        '{"terms":5}',
+        '{"terms":[1]}',
+        '{"terms":[{"coeff":1.0}]}',
+        '{"terms":[{"powers":{"x":1}}]}',
+        '{"terms":[{"powers":{"x":"a"},"coeff":1}]}',
     ):
         with pytest.raises(ValueError):
             from_json(bad)

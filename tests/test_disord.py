@@ -11,10 +11,6 @@ from sparsepoly import (
     HashMismatch,
     Mvp,
     coeffs,
-    disord_assign,
-    disord_filter,
-    disord_map,
-    disord_zip,
     parse,
     powers,
     provenance_hash,
@@ -68,12 +64,12 @@ def test_map_keeps_hash():
     fourth = ca + ca**4
     assert fourth.hash == ca.hash
     assert sorted(fourth.values) == [78, 620, 630, 14652]
-    assert disord_map(ca, lambda v: v).values == ca.values
+    assert ca.map(lambda v: v).values == ca.values
 
 
 def test_zip_with_itself():
     ca = coeffs(A)
-    doubled = disord_zip(ca, ca, lambda x, y: x + y)
+    doubled = ca.zip_with(ca, lambda x, y: x + y)
     assert sorted(doubled.values) == sorted((ca * 2).values)
 
 
@@ -83,7 +79,7 @@ def test_filter_yields_fresh_hash():
     assert sorted(pos.values) == [5, 11]
     assert pos.hash != ca.hash
     # deterministic: filtering the same way gives the same hash
-    assert disord_filter(ca, ca > 0).hash == pos.hash
+    assert ca.filter(ca > 0).hash == pos.hash
     all_kept = ca[ca.map(lambda _: True)]
     assert all_kept.values == ca.values
     assert all_kept.hash != ca.hash
@@ -99,7 +95,7 @@ def test_assign_adds_1000_to_negatives():
     ca = coeffs(A)
     neg = ca < 0
     replacement = ca[neg] + 1000
-    updated = disord_assign(ca, neg, replacement)
+    updated = ca.assign(neg, replacement)
     assert updated.hash == ca.hash
     assert render(set_coeffs(A, updated)) == "5 + 997 x yz + 995 x^2 y + 11 z"
 

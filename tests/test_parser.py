@@ -101,6 +101,18 @@ def test_huge_exponent_rejected():
 
 @pytest.mark.parametrize(
     "text, position",
+    [("x^9223372036854775807 * x", 24), ("x^-9223372036854775808 x^-1", 23)],
+    ids=["above", "below"],
+)
+def test_repeated_symbol_power_sum_out_of_range_rejected(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert "64-bit" in exc.value.message
+
+
+@pytest.mark.parametrize(
+    "text, position",
     [("1" + "0" * 400 + " x", 0), ("x - 2 " + "9" * 400, 6)],
     ids=["leading", "trailing"],
 )
