@@ -1,4 +1,5 @@
-"""The multiply kernel: term-pair convolution of term->coefficient dicts.
+"""The multiply kernel: term-pair convolution of term->coefficient dicts,
+and integer powers built from it.
 
 The term-pair convolution is the hot loop of the whole library.  It works
 on raw term->coefficient dicts so the wrapping Mvp type stays out of the
@@ -15,12 +16,21 @@ Both accumulate in the same p-outer, q-inner order with the same
 exact-zero deletion, so they produce equal coefficients in the same
 insertion order, and both raise PowerOverflowError exactly when some
 pair's power sum leaves the signed 64-bit range.
+
+``pow_terms`` chooses how a power is built from the base's sparsity
+(Fateman, "On the computation of powers of sparse polynomials", 1974):
+binary squaring forms far more term pairs than repeated multiplication by
+a sparse base, and fewer for a dense one.
 """
 
 from .core import INT64_MAX, INT64_MIN, PowerOverflowError
 
 # Fewest terms in each operand for the packed path (see mul_terms).
 _PACKED_MIN_TERMS = 8
+
+# A base whose power box holds more than this many lattice points per term
+# is sparse, and pow_terms multiplies its powers up one factor at a time.
+_SPARSE_BOX_PER_TERM = 4
 
 
 def merge_terms(t1, t2):
@@ -112,6 +122,65 @@ def _columns(p, q):
         high = hi_p.get(s, 0) + hi_q.get(s, 0)
         columns.append((s, low, high - low + 1))
     return columns
+
+
+def pow_terms(terms, n):
+    """``terms`` raised to the nonnegative integer ``n``, as a new dict.
+
+    A sparse base is multiplied in one factor at a time; a dense one, and
+    any square, goes by binary squaring.  Sparse means that the base's
+    power box, the product over its symbols of ``max - min + 1`` with 0
+    counted in, holds more than ``_SPARSE_BOX_PER_TERM`` lattice points
+    per term.  Both orders give equal results for integer coefficients
+    whose partial sums stay below 2**53; other coefficients can differ in
+    the last bits between them.
+    """
+    if n == 0:
+        return {(): 1.0}
+    if n == 1:
+        return dict(terms)
+    # Measured on CPython 3.11 (2 shared cores, best of 5-7 runs), with
+    # density the base's terms over its box: multiplying is faster on
+    # knight(4) (density 0.077; 2.0x at **4, 5.5x at **6), knight(3) (0.19;
+    # 1.4-5.6x from **4 to **12), 1+a+b+c+d+e (0.19; 2.0x at **8) and
+    # 1+a+...+g (0.062; 1.9x at **8, 4.5x at **12), and within 1.25x either
+    # way at **3.  Squaring is 1.4-4.3x faster from **8 on for 1+x, 1+x+y,
+    # 1+x+y+z and x+1/x+y+1/y (0.44-1): their powers fill the box, so each
+    # squaring collapses most of its pairs, while every step of repeated
+    # multiplication by a base under 8 terms stays on the dict path.  The
+    # rule misjudges some bases: x+y+z+1/x+1/y+1/z (0.22) multiplies 2.7x
+    # slower at **8, and a 10-term random base over 3 symbols (0.16) 2-3x
+    # slower at **4 and **6 (3.2x faster at **12).
+    if n > 2 and _box_size(terms) > _SPARSE_BOX_PER_TERM * len(terms):
+        return _pow_by_multiplying(terms, n)
+    return _pow_by_squaring(terms, n)
+
+
+def _pow_by_multiplying(terms, n):
+    result = terms
+    for _ in range(n - 1):
+        result = mul_terms(result, terms)
+    return result
+
+
+def _pow_by_squaring(terms, n):
+    result = None
+    while True:
+        if n & 1:
+            result = terms if result is None else mul_terms(result, terms)
+        n >>= 1
+        if not n:
+            return result
+        terms = mul_terms(terms, terms)
+
+
+def _box_size(terms):
+    """Lattice points of the terms' per-symbol power box, 0 counted in."""
+    lo, hi = _power_ranges(terms)
+    size = 1
+    for s in lo.keys() | hi.keys():
+        size *= hi.get(s, 0) - lo.get(s, 0) + 1
+    return size
 
 
 def _power_ranges(terms):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 
-from ._kernel import mul_terms
+from ._kernel import mul_terms, pow_terms
 from .core import Mvp
 
 
@@ -50,19 +50,21 @@ def multiply(p: Mvp, q: Mvp) -> Mvp:
 
 
 def power(p: Mvp, n: int) -> Mvp:
-    """Nonnegative integer power by repeated squaring; p**0 is 1."""
+    """Nonnegative integer power; p**0 is 1, 0**0 included.
+
+    A sparse base, one whose per-symbol power box holds more than four
+    lattice points per term (``knight(4)`` holds 13), is multiplied in one
+    factor at a time; a dense one such as ``1+x+y`` goes by binary
+    squaring (Fateman, 1974).  The two orders give bitwise-equal results
+    for integer coefficients whose partial sums stay below 2**53, so those
+    results are exact.  Other coefficients can round differently in the
+    last bits than under the other order: ``(1+x)**128``, whose binomials
+    pass 2**53, already differs between them.
+    """
     n = operator.index(n)
     if n < 0:
         raise ValueError(
             "negative exponents are not defined for polynomials; "
             "invert() negates the powers of a monomial instead"
         )
-    result = {(): 1.0}
-    base = p._terms
-    while n:
-        if n & 1:
-            result = mul_terms(result, base)
-        n >>= 1
-        if n:
-            base = mul_terms(base, base)
-    return Mvp._from_clean(result)
+    return Mvp._from_clean(pow_terms(p._terms, n))

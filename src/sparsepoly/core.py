@@ -42,6 +42,18 @@ def require_symbol(name: str) -> str:
     return name
 
 
+def check_finite(terms: dict) -> dict:
+    """Return ``terms``; raise OverflowError if a coefficient is inf or NaN.
+
+    Finite operands reach an infinite coefficient only when a product or
+    sum overflows a double, and a NaN only by adding opposite infinities.
+    """
+    if not all(map(math.isfinite, terms.values())):
+        bad = next(c for c in terms.values() if not math.isfinite(c))
+        raise OverflowError(f"coefficient overflows a double: {bad!r}")
+    return terms
+
+
 def check_power(k: int) -> int:
     if not INT64_MIN <= k <= INT64_MAX:
         raise PowerOverflowError(f"power {k} outside the signed 64-bit range")
@@ -83,9 +95,10 @@ class Mvp:
     """A sparse multivariate Laurent polynomial.
 
     Immutable; all operations return new values, so instances are safe to
-    share across threads.  Stored coefficients are never zero and stored
-    powers are never zero.  Supports the ring operators ``+ - * **`` with
-    polynomial or numeric operands, and ``/`` by a number.
+    share across threads.  Stored coefficients are finite and never zero,
+    and stored powers are never zero; an operation whose coefficient would
+    overflow a double raises OverflowError.  Supports the ring operators
+    ``+ - * **`` with polynomial or numeric operands, and ``/`` by a number.
     """
 
     __slots__ = ("_terms",)
@@ -101,13 +114,15 @@ class Mvp:
                     data.pop(t, None)
                 else:
                     data[t] = c
-        self._terms = dict(sorted(data.items()))
+        self._terms = dict(sorted(check_finite(data).items()))
 
     @classmethod
     def _from_clean(cls, data: dict) -> "Mvp":
         # Trusted path: terms already normalized, coefficients nonzero.
+        # Every result is built here, so this is where an overflow to inf
+        # or NaN is caught.
         obj = object.__new__(cls)
-        obj._terms = dict(sorted(data.items()))
+        obj._terms = dict(sorted(check_finite(data).items()))
         return obj
 
     @classmethod
@@ -281,6 +296,8 @@ def validate(p: Mvp) -> None:
             raise AssertionError(f"stored zero coefficient at {t!r}")
         if not isinstance(c, float):
             raise AssertionError(f"non-float coefficient {c!r}")
+        if not math.isfinite(c):
+            raise AssertionError(f"non-finite coefficient {c!r} at {t!r}")
         names = [s for s, _ in t]
         if names != sorted(names) or len(set(names)) != len(names):
             raise AssertionError(f"term not in canonical symbol order: {t!r}")

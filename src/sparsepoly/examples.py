@@ -6,7 +6,7 @@ import math
 import random
 import string
 
-from .core import Mvp
+from .core import Mvp, require_symbol
 from .disord import coeffs, powers
 
 
@@ -44,9 +44,9 @@ def rmvp(
     """Random polynomial, deterministic for a fixed seed.
 
     Each of ``n_terms`` monomials multiplies ``symbols_per_term`` uniform
-    draws from the alphabet (an iterable of names, or a pool size meaning
-    the first k letters), each with a uniform power in [1, max_power];
-    repeated draws merge by power addition.  Coefficients are uniform in
+    draws from the alphabet (an iterable of symbol names, each validated,
+    or a pool size meaning the first k letters), each with a uniform power
+    in [1, max_power]; repeated draws merge by power addition.  Coefficients are uniform in
     {1, ..., n_terms} and like terms combine, so the result has at most
     ``n_terms`` terms.
     """
@@ -57,7 +57,7 @@ def rmvp(
             raise ValueError("alphabet size must be between 1 and 26")
         pool = list(string.ascii_lowercase[:alphabet])
     else:
-        pool = list(alphabet)
+        pool = [require_symbol(s) for s in alphabet]
         if not pool:
             raise ValueError("alphabet must not be empty")
     rng = random.Random(seed)

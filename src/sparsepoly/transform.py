@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import arith
-from ._kernel import mul_terms
+from ._kernel import mul_terms, pow_terms
 from .core import Mvp, check_power, constant, require_symbol
 from .parser import parse_or_lift
 
@@ -78,10 +77,15 @@ def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
         g = groups.setdefault(k, {})
         g[rest] = g.get(rest, 0.0) + c
 
+    # value**k in ascending k, each from the one before.
     out = {}
-    for k, residue in groups.items():
-        vk = arith.power(value, k)._terms
-        for t, c in mul_terms(residue, vk).items():
+    vk, k_prev = {(): 1.0}, 0
+    for k in sorted(groups):
+        if k != k_prev:
+            step = pow_terms(value._terms, k - k_prev)
+            vk = mul_terms(vk, step) if k_prev else step
+            k_prev = k
+        for t, c in mul_terms(groups[k], vk).items():
             s = out.get(t, 0.0) + c
             if s == 0.0:
                 out.pop(t, None)

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import box_mul, mvp_from_box, random_mvp, to_box
-from sparsepoly import Mvp, PowerOverflowError, parse, power, render
+from sparsepoly import (
+    Mvp,
+    PowerOverflowError,
+    coeffs,
+    deriv,
+    parse,
+    power,
+    render,
+    set_coeffs,
+    subs,
+)
 
 S1 = parse("b d^2 + 5 b^2 d^2 + 2 b^4 + 4 c d + 3 c d^2")
 S2 = parse("2 b^4 + 4 c^2 d + 5 c^4 + 4 d^4")
@@ -122,6 +132,34 @@ def test_power_overflow_reported():
     big = parse(f"x^{2**62}")
     with pytest.raises(PowerOverflowError):
         big * big
+
+
+BIG = "1" + "0" * 200  # 1e200: finite, but its square is not
+DOUBLE_MAX = str(int(1.7976931348623157e308))
+
+
+@pytest.mark.parametrize(
+    "overflow",
+    [
+        lambda: parse(BIG + " x") * parse(BIG + " x"),
+        lambda: parse(BIG + " x") * parse(BIG + " x") - parse(BIG + " x") * parse(BIG + " x"),
+        lambda: parse(BIG + " x") ** 2,
+        lambda: parse(BIG + " x") * 1e200,
+        lambda: parse(BIG + " x") / 1e-200,
+        lambda: parse(DOUBLE_MAX + " x") + parse(DOUBLE_MAX + " x"),
+        lambda: parse(BIG + " " + BIG + " x"),
+        lambda: parse(f"{DOUBLE_MAX} x + {DOUBLE_MAX} x"),
+        lambda: subs(parse(BIG + " x"), x=BIG),
+        lambda: deriv(parse(f"1{'0' * 300} x^{2**62}"), "x"),
+        lambda: set_coeffs(parse(BIG + " x"), coeffs(parse(BIG + " x")) * 1e200),
+        lambda: Mvp({(): float("inf")}),
+        lambda: Mvp.from_number(float("nan")),
+        lambda: parse("x") + float("inf"),
+    ],
+)
+def test_coefficient_overflow_raises(overflow):
+    with pytest.raises(OverflowError):
+        overflow()
 
 
 def test_ring_axioms_against_dense_oracle():

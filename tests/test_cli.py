@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sparsepoly
 import sparsepoly.cli as cli
 from sparsepoly import HashMismatch, canonical_json, knight, parse, rmvp
@@ -278,6 +280,24 @@ def test_rmvp_alphabet_names(capsys):
     code, out, _ = run(capsys, "rmvp", "6", "2", "2", "u,v", "--seed", "7")
     assert code == 0
     assert set(parse(out).symbols()) <= {"u", "v"}
+
+
+def test_rmvp_rejects_invalid_alphabet_names(capsys):
+    with pytest.raises(ValueError, match="invalid symbol name"):
+        rmvp(3, 1, 1, ["1x", "y z"], seed=1)
+    code, out, err = run(capsys, "rmvp", "3", "1", "1", "1x,y z", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "invalid symbol name" in err
+
+
+def test_coefficient_overflow_exit_code(capsys, monkeypatch):
+    big = "1" + "0" * 200
+    monkeypatch.setattr(sys, "stdin", io.StringIO(big + " x\n"))
+    code, out, err = run(capsys, "subs", "-", f"x={big}")
+    assert code == 1
+    assert out == ""
+    assert "overflows a double" in err
 
 
 def test_parse_error_exit_code(capsys):

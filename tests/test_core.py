@@ -175,6 +175,14 @@ def test_storage_invariants_hold(p, q):
     validate(invert(p))
 
 
+def test_validate_rejects_non_finite_coefficients():
+    for c in (float("inf"), float("nan")):
+        smuggled = parse("x")
+        smuggled._terms = {(("x", 1),): c}  # past every checked way in
+        with pytest.raises(AssertionError, match="non-finite"):
+            validate(smuggled)
+
+
 def test_operations_do_not_mutate():
     p = parse("1 + x")
     q = parse("2 y")

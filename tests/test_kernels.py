@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import random_mvp
-from sparsepoly import PowerOverflowError, backend_name, knight
+from helpers import box_mul, mvp_from_box, random_mvp, to_box
+from sparsepoly import PowerOverflowError, backend_name, knight, parse
 from sparsepoly import _kernel
 
 INT64_MAX = 2**63 - 1
@@ -126,3 +126,55 @@ def test_overflow_raised_by_both_paths_alike(p, q, overflows):
                 path(p, q)
         else:
             _assert_bitwise_equal(path(p, q), _kernel.mul_terms_dict(p, q))
+
+
+def _rows(terms):
+    # Terms in canonical order with each coefficient's exact bits.
+    return [(t, c.hex()) for t, c in sorted(terms.items())]
+
+
+def test_power_strategy_follows_density(monkeypatch):
+    calls = []
+    for name in ("_pow_by_multiplying", "_pow_by_squaring"):
+        real = getattr(_kernel, name)
+
+        def spy(terms, n, name=name, real=real):
+            calls.append(name)
+            return real(terms, n)
+
+        monkeypatch.setattr(_kernel, name, spy)
+    knight(4) ** 4  # 48 terms in a 5^4 box
+    assert calls == ["_pow_by_multiplying"]
+    calls.clear()
+    parse("1+x+y") ** 8  # 3 terms in a 2x2 box
+    parse("1+x") ** 32
+    assert calls == ["_pow_by_squaring", "_pow_by_squaring"]
+    calls.clear()
+    knight(4) ** 2  # a square is one product either way
+    assert calls == ["_pow_by_squaring"]
+
+
+@pytest.mark.parametrize(
+    "base, top",
+    # knight(4)**6 is checked in the walk-count test below
+    [(knight(3), 6), (knight(4), 5), (parse("1+x+y"), 12), (parse("x^-1 + 2 + 3 y^2"), 9)],
+)
+def test_power_strategies_bitwise_equal(base, top):
+    for n in range(2, top + 1):
+        by_multiplying = _kernel._pow_by_multiplying(base._terms, n)
+        assert _rows(by_multiplying) == _rows(_kernel._pow_by_squaring(base._terms, n))
+
+
+def test_knight_sixth_power_counts_walks():
+    # Walks of six moves by end point, from the dense-array oracle; the
+    # power goes by repeated multiplication and must match squaring too.
+    symbols = ("a", "b", "c", "d")
+    moves = to_box(knight(4), symbols, -2, 2)
+    walks = moves
+    for _ in range(5):
+        walks = box_mul(moves, walks)
+    want = mvp_from_box(walks, symbols, -12)
+    got = knight(4) ** 6
+    assert _rows(got._terms) == _rows(want._terms)
+    assert sum(c for _, c in got.terms()) == 48**6
+    assert _rows(got._terms) == _rows(_kernel._pow_by_squaring(knight(4)._terms, 6))

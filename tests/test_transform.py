@@ -27,6 +27,23 @@ def test_subs_polynomial_value():
     assert subs(parse("a+b+c"), a="x^6", lose=False) == parse("b + c + x^6")
 
 
+def test_subs_builds_each_power_from_the_one_before(monkeypatch):
+    from sparsepoly import transform
+
+    gaps = []
+    real = transform.pow_terms
+
+    def spy(terms, n):
+        gaps.append(n)
+        return real(terms, n)
+
+    monkeypatch.setattr(transform, "pow_terms", spy)
+    got = subs(parse("2 + x + x^2 z + x^3 + x^7"), x="1 + y", lose=False)
+    assert gaps == [1, 1, 1, 4]
+    y = parse("1 + y")
+    assert got == 2 + y + y**2 * parse("z") + y**3 + y**7
+
+
 def test_subs_order_dependence():
     forward = subs(parse("a+b+c"), a="x^6", x="1+a", lose=False)
     assert render(forward) == "1 + 6 a + 15 a^2 + 20 a^3 + 15 a^4 + 6 a^5 + a^6 + b + c"
