@@ -28,8 +28,9 @@ from .core import INT64_MAX, INT64_MIN, PowerOverflowError
 # Fewest terms in each operand for the packed path (see mul_terms).
 _PACKED_MIN_TERMS = 8
 
-# A base whose power box holds more than this many lattice points per term
-# is sparse, and pow_terms multiplies its powers up one factor at a time.
+# A base of two or more terms whose power box holds more than this many
+# lattice points per term is sparse, and pow_terms multiplies its powers up
+# one factor at a time.
 _SPARSE_BOX_PER_TERM = 4
 
 
@@ -125,20 +126,19 @@ def _columns(p, q):
 
 
 def pow_terms(terms, n):
-    """``terms`` raised to the nonnegative integer ``n``, as a new dict.
+    """``terms`` raised to the nonnegative integer ``n``, as a dict.
 
-    A sparse base is multiplied in one factor at a time; a dense one, and
-    any square, goes by binary squaring.  Sparse means that the base's
-    power box, the product over its symbols of ``max - min + 1`` with 0
-    counted in, holds more than ``_SPARSE_BOX_PER_TERM`` lattice points
-    per term.  Both orders give equal results for integer coefficients
-    whose partial sums stay below 2**53; other coefficients can differ in
-    the last bits between them.
+    A sparse base of two or more terms is multiplied in one factor at a
+    time; a dense one, a monomial, zero and any square go by binary
+    squaring, so a base whose powers stay small takes about log2(n)
+    products.  Sparse means that the base's power box, the product over
+    its symbols of ``max - min + 1`` with 0 counted in, holds more than
+    ``_SPARSE_BOX_PER_TERM`` lattice points per term.  Both orders give
+    equal results for integer coefficients whose partial sums stay below
+    2**53; other coefficients can differ in the last bits between them.
     """
     if n == 0:
         return {(): 1.0}
-    if n == 1:
-        return dict(terms)
     # Measured on CPython 3.11 (2 shared cores, best of 5-7 runs), with
     # density the base's terms over its box: multiplying is faster on
     # knight(4) (density 0.077; 2.0x at **4, 5.5x at **6), knight(3) (0.19;
@@ -151,7 +151,7 @@ def pow_terms(terms, n):
     # rule misjudges some bases: x+y+z+1/x+1/y+1/z (0.22) multiplies 2.7x
     # slower at **8, and a 10-term random base over 3 symbols (0.16) 2-3x
     # slower at **4 and **6 (3.2x faster at **12).
-    if n > 2 and _box_size(terms) > _SPARSE_BOX_PER_TERM * len(terms):
+    if n > 2 and len(terms) > 1 and _box_size(terms) > _SPARSE_BOX_PER_TERM * len(terms):
         return _pow_by_multiplying(terms, n)
     return _pow_by_squaring(terms, n)
 

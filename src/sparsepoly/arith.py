@@ -52,14 +52,16 @@ def multiply(p: Mvp, q: Mvp) -> Mvp:
 def power(p: Mvp, n: int) -> Mvp:
     """Nonnegative integer power; p**0 is 1, 0**0 included.
 
-    A sparse base, one whose per-symbol power box holds more than four
-    lattice points per term (``knight(4)`` holds 13), is multiplied in one
-    factor at a time; a dense one such as ``1+x+y`` goes by binary
-    squaring (Fateman, 1974).  The two orders give bitwise-equal results
-    for integer coefficients whose partial sums stay below 2**53, so those
-    results are exact.  Other coefficients can round differently in the
-    last bits than under the other order: ``(1+x)**128``, whose binomials
-    pass 2**53, already differs between them.
+    A sparse base, one of two or more terms whose per-symbol power box
+    holds more than four lattice points per term (``knight(4)`` holds 13),
+    is multiplied in one factor at a time; a dense one such as ``1+x+y``,
+    a monomial and zero go by binary squaring (Fateman, 1974), so
+    ``parse("y^5") ** 2**62`` raises PowerOverflowError after about 62
+    products.  The two orders give bitwise-equal results for integer
+    coefficients whose partial sums stay below 2**53, so those results are
+    exact.  Other coefficients can round differently in the last bits than
+    under the other order: ``(1+x)**128``, whose binomials pass 2**53,
+    already differs between them.
     """
     n = operator.index(n)
     if n < 0:

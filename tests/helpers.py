@@ -10,7 +10,9 @@ equality.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 import numpy as np
 
@@ -84,3 +86,19 @@ def random_nonneg_mvp(rng: random.Random, symbols: str = "abcd", max_terms: int 
 def norm_ws(text: str) -> str:
     """Collapse runs of whitespace to single spaces (line-wrap artifacts)."""
     return " ".join(text.split())
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

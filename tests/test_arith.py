@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from helpers import box_mul, mvp_from_box, random_mvp, to_box
+from helpers import box_mul, mvp_from_box, random_mvp, time_limit, to_box
 from sparsepoly import (
     Mvp,
     PowerOverflowError,
@@ -94,6 +94,8 @@ def test_power_zero_convention():
     assert power(parse("x + y"), 0) == 1
     assert power(Mvp.zero(), 0) == 1
     assert power(Mvp.zero(), 3).is_zero
+    with time_limit(5):  # squaring: about 62 empty products
+        assert power(Mvp.zero(), 2**62).is_zero
 
 
 def test_power_rejects_negative_exponent():
@@ -132,6 +134,13 @@ def test_power_overflow_reported():
     big = parse(f"x^{2**62}")
     with pytest.raises(PowerOverflowError):
         big * big
+
+
+@pytest.mark.parametrize("base", ["y^5", "x^2 y"])
+def test_huge_power_of_a_monomial_overflows_quickly(base):
+    # Squaring: about 62 products before a power leaves int64.
+    with time_limit(5), pytest.raises(PowerOverflowError):
+        parse(base) ** 2**62
 
 
 BIG = "1" + "0" * 200  # 1e200: finite, but its square is not

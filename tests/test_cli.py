@@ -12,6 +12,7 @@ import pytest
 
 import sparsepoly
 import sparsepoly.cli as cli
+from helpers import time_limit
 from sparsepoly import HashMismatch, canonical_json, knight, parse, rmvp
 
 KNIGHT2 = (
@@ -298,6 +299,14 @@ def test_coefficient_overflow_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "overflows a double" in err
+
+
+def test_huge_power_of_a_monomial_binding_exit_code(capsys):
+    with time_limit(5):
+        code, out, err = run(capsys, "subs", f"x^{2**62}", "x=y^5")
+    assert code == 1
+    assert out == ""
+    assert "outside the signed 64-bit range" in err
 
 
 def test_parse_error_exit_code(capsys):
