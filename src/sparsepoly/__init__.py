@@ -1,4 +1,4 @@
-"""Sparse multivariate Laurent polynomials backed by ordered maps.
+"""Sparse multivariate Laurent polynomials backed by hash maps.
 
 Polynomials are maps from terms to nonzero coefficients, terms are maps
 from symbols to nonzero integer powers (negative powers welcome), and

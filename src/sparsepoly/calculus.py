@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from typing import Optional, Sequence, Union
 
-from .core import Mvp, check_power, require_symbol
+from .core import Mvp, check_finite, check_power, require_symbol
 from .parser import parse_or_lift
 
 
@@ -55,18 +55,27 @@ def aderiv(p: Mvp, orders: Optional[dict] = None, **by_name) -> Mvp:
 
     ``aderiv(p, a=3, c=2)`` differentiates three times by ``a`` and twice
     by ``c``; equivalent to ``deriv`` with each symbol repeated.  Orders
-    must be nonnegative (order 0 is a no-op).
+    must be nonnegative (order 0 is a no-op).  Differentiation stops once
+    the polynomial is zero, and raises OverflowError at the step where a
+    coefficient overflows a double, so any order takes at most a few
+    hundred steps per symbol: ``aderiv(x, x=10**9)`` is 0 at once.
     """
     merged = dict(orders or {})
     merged.update(by_name)
-    sequence = []
+    counts = []
     for s, k in merged.items():
         require_symbol(s)
         k = operator.index(k)
         if k < 0:
             raise ValueError(f"derivative order for {s!r} must be nonnegative, got {k}")
-        sequence.extend([s] * k)
-    return deriv(p, sequence)
+        counts.append((s, k))
+    terms = p._terms
+    for s, k in counts:
+        for _ in range(k):
+            if not terms:
+                break
+            terms = check_finite(_deriv_once(terms, s))
+    return Mvp._from_clean(terms)
 
 
 def horner(base: Union[Mvp, str], coeffs: Sequence[float]) -> Mvp:

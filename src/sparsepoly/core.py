@@ -1,13 +1,15 @@
-"""Ordered-map storage for sparse multivariate Laurent polynomials.
+"""Map storage for sparse multivariate Laurent polynomials.
 
 A polynomial is a finite map from *terms* to nonzero double coefficients,
 and a term is a map from symbol names to nonzero signed integer powers.
-The empty term is the constant term; the empty polynomial is zero.  Both
-maps are kept in a canonical sorted order (symbols alphabetically inside a
-term, terms by lexicographic comparison of their (symbol, power) pairs) so
-that serialization is deterministic, but no public operation attaches
-meaning to that order; coefficient-level work goes through the disord
-module instead.
+The empty term is the constant term; the empty polynomial is zero.
+Symbols inside a term are always sorted.  The terms of a polynomial are
+stored in the order an operation produced them, and put in the canonical
+order (lexicographic comparison of their (symbol, power) pairs) the first
+time something reads the order: iteration, rendering, serialization, the
+disord extractions.  So serialization is deterministic, yet no public
+operation attaches meaning to that order; coefficient-level work goes
+through the disord module instead.
 """
 
 from __future__ import annotations
@@ -94,14 +96,18 @@ def power_of(t: Term, symbol: str) -> int:
 class Mvp:
     """A sparse multivariate Laurent polynomial.
 
-    Immutable; all operations return new values, so instances are safe to
-    share across threads.  Stored coefficients are finite and never zero,
-    and stored powers are never zero; an operation whose coefficient would
-    overflow a double raises OverflowError.  Supports the ring operators
-    ``+ - * **`` with polynomial or numeric operands, and ``/`` by a number.
+    Immutable in what it shows; all operations return new values, so
+    instances are safe to share across threads.  The canonical term order
+    and the provenance hash are computed on first read and cached.  Stored
+    coefficients are finite and never zero, and stored powers are never
+    zero; an operation whose coefficient would overflow a double raises
+    OverflowError.  Supports the ring operators ``+ - * **`` with
+    polynomial or numeric operands, and ``/`` by a number.
     """
 
-    __slots__ = ("_terms",)
+    # _terms is in canonical order once _ordered is set; _provenance caches
+    # the disord provenance hash.
+    __slots__ = ("_terms", "_ordered", "_provenance")
 
     def __init__(self, terms=None):
         data: dict[Term, float] = {}
@@ -114,7 +120,9 @@ class Mvp:
                     data.pop(t, None)
                 else:
                     data[t] = c
-        self._terms = dict(sorted(check_finite(data).items()))
+        self._terms = check_finite(data)
+        self._ordered = len(data) < 2
+        self._provenance = None
 
     @classmethod
     def _from_clean(cls, data: dict) -> "Mvp":
@@ -122,8 +130,26 @@ class Mvp:
         # Every result is built here, so this is where an overflow to inf
         # or NaN is caught.
         obj = object.__new__(cls)
-        obj._terms = dict(sorted(check_finite(data).items()))
+        obj._terms = check_finite(data)
+        obj._ordered = len(data) < 2
+        obj._provenance = None
         return obj
+
+    def _canonical(self) -> dict:
+        """The term dict in canonical order, sorted the first time it is read.
+
+        Readers whose result depends on the order go through here: the
+        multiply kernel sums each output term in the order of its outer
+        operand, so a product is bitwise the same whichever way its
+        operands were built.  The sorted dict is a new one that replaces
+        the old, never a reordering in place, so two threads that both
+        sort do no harm.
+        """
+        if not self._ordered:
+            d = self._terms
+            self._terms = {t: d[t] for t in sorted(d)}
+            self._ordered = True
+        return self._terms
 
     @classmethod
     def zero(cls) -> "Mvp":
@@ -141,8 +167,11 @@ class Mvp:
         return cls._from_clean({} if coeff == 0.0 else {t: coeff})
 
     def terms(self) -> Iterator[tuple[Term, float]]:
-        """Iterate (term, coefficient) pairs in canonical order."""
-        return iter(self._terms.items())
+        """Iterate (term, coefficient) pairs in canonical order.
+
+        The order is built when it is first read, and kept.
+        """
+        return iter(self._canonical().items())
 
     def coefficient(self, term) -> float:
         """Coefficient of a term (raw pairs accepted), 0.0 when absent."""
@@ -175,7 +204,8 @@ class Mvp:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        # Order-free, like __eq__: it needs no canonical order.
+        return hash(frozenset(self._terms.items()))
 
     # Ring operators delegate to the arith module; imports are deferred to
     # keep the module graph acyclic.
@@ -291,6 +321,8 @@ def equals_approx(p: Mvp, q: Mvp, rel: float = 1e-9, abs_tol: float = 0.0) -> bo
 
 def validate(p: Mvp) -> None:
     """Walk the maps and assert every storage invariant; raises on breach."""
+    if p._ordered and list(p._terms) != sorted(p._terms):
+        raise AssertionError("terms marked as sorted are not in canonical order")
     for t, c in p._terms.items():
         if c == 0.0:
             raise AssertionError(f"stored zero coefficient at {t!r}")

@@ -66,8 +66,10 @@ def render(
         missing = set(syms) - set(vo)
         if missing:
             raise ValueError(f"varorder does not cover symbols: {sorted(missing)}")
+        # Distinct terms have distinct power vectors, so the sort below fixes
+        # the order alone and the stored order may be read as it is.
         ordered = []
-        for t, c in p.terms():
+        for t, c in p._terms.items():
             vec = tuple(power_of(t, s) for s in vo)
             pairs = tuple((s, k) for s, k in zip(vo, vec) if k != 0)
             ordered.append((vec, pairs, c))

@@ -82,7 +82,7 @@ def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
     vk, k_prev = {(): 1.0}, 0
     for k in sorted(groups):
         if k != k_prev:
-            step = pow_terms(value._terms, k - k_prev)
+            step = pow_terms(value._canonical(), k - k_prev)
             vk = mul_terms(vk, step) if k_prev else step
             k_prev = k
         for t, c in mul_terms(groups[k], vk).items():
@@ -102,7 +102,8 @@ def subs(p: Mvp, bindings: Optional[Sequence] = None, *, lose: bool = True, **by
     or numbers.  With ``lose`` (the default) a constant result is returned
     as a plain scalar rather than a polynomial.
     """
-    terms = p._terms
+    # Read in canonical order: a term's residue can collect several terms.
+    terms = p._canonical()
     for b in _as_bindings(bindings, by_name):
         terms = _substitute_one(terms, b.symbol, b.value)
     result = Mvp._from_clean(terms)
@@ -116,7 +117,8 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
 
     Every symbol of ``p`` must be bound; vectors must share one length
     (length-1 values are recycled).  Negative powers evaluate as real
-    reciprocals.
+    reciprocals.  Raises ValueError on a non-finite value and
+    OverflowError when a result overflows a double.
     """
     # Imported here, not at module level: numpy is most of the package's
     # import time, and only this function needs it.
@@ -127,6 +129,9 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     for s in supplied:
         require_symbol(s)
     vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in supplied.items()}
+    for s, v in vectors.items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite value bound to {s!r}")
 
     unbound = [s for s in p.symbols() if s not in vectors]
     if unbound:
@@ -139,16 +144,21 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     n = lengths.pop() if lengths else 1
 
     out = np.zeros(n)
-    for t, c in p.terms():
-        term_val = np.full(n, c)
-        for s, k in t:
-            vec = vectors[s]
-            if k < 0 and np.any(vec == 0.0):
-                raise ZeroDivisionError(
-                    f"{s!r} is zero at some component but occurs with power {k}"
-                )
-            term_val = term_val * vec ** float(k)
-        out += term_val
+    # An overflow shows as inf or NaN in the result, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, c in p.terms():
+            term_val = np.full(n, c)
+            for s, k in t:
+                vec = vectors[s]
+                if k < 0 and np.any(vec == 0.0):
+                    raise ZeroDivisionError(
+                        f"{s!r} is zero at some component but occurs with power {k}"
+                    )
+                term_val = term_val * vec ** float(k)
+            out += term_val
+    if not np.isfinite(out).all():
+        bad = float(out[~np.isfinite(out)][0])
+        raise OverflowError(f"value overflows a double: {bad!r}")
     return out
 
 

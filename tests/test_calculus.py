@@ -1,13 +1,14 @@
 """Derivatives and Horner composition."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
 import strategies
-from helpers import norm_ws, random_mvp
-from sparsepoly import Mvp, aderiv, deriv, horner, parse, power, render
+from helpers import norm_ws, random_mvp, time_limit
+from sparsepoly import Mvp, PowerOverflowError, aderiv, deriv, horner, parse, power, render
 
 S = parse("a + 5 a^5*b^2*c^8 -3 x^2 a^3 b c^3")
 
@@ -52,6 +53,25 @@ def test_aderiv_rejects_negative_order():
         aderiv(S, a=-1)
     with pytest.raises(ValueError, match="invalid symbol"):
         aderiv(S, {"1bad": 0})
+
+
+def test_aderiv_stops_at_zero():
+    with time_limit(5):
+        assert aderiv(parse("x"), x=10**9).is_zero
+        assert aderiv(parse("x^3 y + y^2"), {"x": 10**9, "y": 10**18}).is_zero
+        assert aderiv(Mvp.zero(), x=10**9).is_zero
+        assert aderiv(S, x=10**9, a=1) == Mvp.zero()
+
+
+def test_aderiv_raises_at_the_overflowing_step():
+    with time_limit(5), pytest.raises(OverflowError, match="overflows a double"):
+        aderiv(parse("x^-1"), x=10**9)  # |coefficient| is n!, past 1.8e308 at n = 171
+    last = aderiv(parse("x^-1"), x=170).coefficient({"x": -171})
+    assert last == pytest.approx(float(math.factorial(170)), rel=1e-12)
+    with time_limit(5), pytest.raises(OverflowError):
+        aderiv(parse(f"x^{10**15}"), x=10**9)
+    with time_limit(5), pytest.raises(PowerOverflowError):
+        aderiv(parse(f"x^{-(2**63) + 2}"), x=10**9)
 
 
 def test_aderiv_equals_repeated_deriv():

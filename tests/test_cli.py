@@ -301,6 +301,21 @@ def test_coefficient_overflow_exit_code(capsys, monkeypatch):
     assert "overflows a double" in err
 
 
+def test_subvec_overflow_exit_code(capsys):
+    big = "1" + "0" * 200
+    code, out, err = run(capsys, "subvec", f"{big} x", f"x={big}")
+    assert code == 1
+    assert out == ""
+    assert "overflows a double" in err
+
+
+def test_huge_derivative_order_exit_code(capsys):
+    with time_limit(5):
+        code, out, _ = run(capsys, "aderiv", "x", "x=1000000000")
+    assert code == 0
+    assert out == "0"
+
+
 def test_huge_power_of_a_monomial_binding_exit_code(capsys):
     with time_limit(5):
         code, out, err = run(capsys, "subs", f"x^{2**62}", "x=y^5")

@@ -132,6 +132,18 @@ def test_subvec_zero_base_negative_power():
         subvec(parse("x^-1"), x=[1, 0, 2])
 
 
+def test_subvec_overflow_raises():
+    big = float("1" + "0" * 200)
+    with pytest.raises(OverflowError, match="overflows a double"):
+        subvec(parse("1" + "0" * 200 + " x"), x=big)
+    with pytest.raises(OverflowError):
+        subvec(parse("x^-2"), x=[1.0, 1e-200])  # a reciprocal past the double range
+    with pytest.raises(OverflowError):
+        subvec(parse("x^3 - y^3"), x=1e200, y=1e200)  # inf - inf
+    with pytest.raises(ValueError, match="non-finite"):
+        subvec(parse("x"), x=[1.0, float("nan")])
+
+
 def test_subvec_negative_powers_are_reciprocals():
     got = subvec(parse("x^-2"), x=[1, 2, 4])
     assert got.tolist() == [1.0, 0.25, 0.0625]
