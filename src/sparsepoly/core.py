@@ -98,16 +98,15 @@ class Mvp:
 
     Immutable in what it shows; all operations return new values, so
     instances are safe to share across threads.  The canonical term order
-    and the provenance hash are computed on first read and cached.  Stored
-    coefficients are finite and never zero, and stored powers are never
-    zero; an operation whose coefficient would overflow a double raises
-    OverflowError.  Supports the ring operators ``+ - * **`` with
-    polynomial or numeric operands, and ``/`` by a number.
+    is built when it is first read, and kept.  Stored coefficients are
+    finite and never zero, and stored powers are never zero; an operation
+    whose coefficient would overflow a double raises OverflowError.
+    Supports the ring operators ``+ - * **`` with polynomial or numeric
+    operands, and ``/`` by a number.
     """
 
-    # _terms is in canonical order once _ordered is set; _provenance caches
-    # the disord provenance hash.
-    __slots__ = ("_terms", "_ordered", "_provenance")
+    # _terms is in canonical order once _ordered is set.
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(self, terms=None):
         data: dict[Term, float] = {}
@@ -122,7 +121,6 @@ class Mvp:
                     data[t] = c
         self._terms = check_finite(data)
         self._ordered = len(data) < 2
-        self._provenance = None
 
     @classmethod
     def _from_clean(cls, data: dict) -> "Mvp":
@@ -132,7 +130,6 @@ class Mvp:
         obj = object.__new__(cls)
         obj._terms = check_finite(data)
         obj._ordered = len(data) < 2
-        obj._provenance = None
         return obj
 
     def _canonical(self) -> dict:

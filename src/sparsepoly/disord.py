@@ -49,13 +49,8 @@ def _digest(data: str) -> str:
 
 
 def provenance_hash(p: Mvp) -> str:
-    """Digest of the canonical JSON serialization of a polynomial.
-
-    Computed once per polynomial and cached on it.
-    """
-    if p._provenance is None:
-        p._provenance = _digest(canonical_json(p))
-    return p._provenance
+    """Digest of the canonical JSON serialization of a polynomial."""
+    return _digest(canonical_json(p))
 
 
 class Disord:

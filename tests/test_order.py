@@ -168,7 +168,7 @@ def test_sorting_on_read_leaves_earlier_results_alone():
 def test_threads_reading_one_polynomial_agree():
     # Each round builds a polynomial whose order is not yet built and has
     # eight threads (more than the cores) read it at once, so several
-    # threads sort it and cache its hash at the same time.
+    # threads sort it at the same time.
     rng = random.Random(12)
     items = _laurent_items(rng, 60)
     other = Mvp(_laurent_items(rng, 30))
