@@ -7,7 +7,8 @@ series tooling, hash-disciplined coefficient access, the paper's knight
 and random-polynomial examples) is a pure function over those maps.  The
 command-line front end (``sparsepoly.cli``) sits on top of the library
 and nothing in the library imports it.  The whole package is pure
-Python; numpy is loaded only when ``subvec`` first runs.
+Python; numpy is loaded only when ``subvec`` or a product that takes
+the multiply kernel's packed path first runs.
 ``backend_name()`` names the multiply kernel and always returns
 ``"python"``.
 """

@@ -9,13 +9,17 @@ inner loop, and it has two paths with bitwise-equal results:
   into a tuple-keyed dict; it is the reference the tests compare against;
 * the packed path (Monagan & Pearce, "Sparse polynomial multiplication
   and division in Maple 14", 2010) encodes each term once as one integer
-  in a mixed radix, so the term of a pair is the sum of two integers and
-  the accumulator is keyed by ints.
+  in a mixed radix, so the term of a pair is the sum of two integers, and
+  accumulates the pairs into a dense numpy array over the key space.  It
+  runs only where that key space is small next to the pair count, and
+  numpy is imported only when it runs.
 
-Both accumulate in the same p-outer, q-inner order with the same
-exact-zero deletion, so they produce equal coefficients in the same
-insertion order, and both raise PowerOverflowError exactly when some
-pair's power sum leaves the signed 64-bit range.
+Both add the pairs in the same p-outer, q-inner order, keep each output
+term where its first contribution put it, and drop exact zeros once at
+the end, so they produce equal coefficients in the same insertion order.
+The dict path raises PowerOverflowError exactly when some pair's power
+sum leaves the signed 64-bit range; the packed path only runs on key
+spaces far too small for that.
 
 ``pow_terms`` chooses how a power is built from the base's sparsity
 (Fateman, "On the computation of powers of sparse polynomials", 1974):
@@ -23,10 +27,19 @@ binary squaring forms far more term pairs than repeated multiplication by
 a sparse base, and fewer for a dense one.
 """
 
+import operator
+
 from .core import INT64_MAX, INT64_MIN, PowerOverflowError
 
-# Fewest terms in each operand for the packed path (see mul_terms).
+# Fewest terms in each operand, and most keys per term pair, for the packed
+# path (see mul_terms).
 _PACKED_MIN_TERMS = 8
+_PACKED_KEYS_PER_PAIR = 4
+
+# Term pairs per block of the packed accumulator, and terms per chunk of
+# its decoding: they bound the temporary arrays and lists.
+_PACKED_BLOCK = 1 << 16
+_DECODE_CHUNK = 1 << 12
 
 # A base of two or more terms whose power box holds more than this many
 # lattice points per term is sparse, and pow_terms multiplies its powers up
@@ -71,24 +84,28 @@ def merge_terms(t1, t2):
 def mul_terms(p, q):
     """Convolve two term->coefficient dicts into a new dict.
 
-    Every term pair is accumulated directly into the result map with
-    exact-zero deletion, so the output satisfies the storage invariants.
+    Every term pair is accumulated into the result, and exact zeros are
+    dropped at the end, so the output satisfies the storage invariants.
     """
-    # The packed path wins where a product collapses, and a key space
-    # smaller than the pair count makes collisions certain.  Measured
-    # against the dict path on CPython 3.11: 5.8x on a 1000x1000-term
-    # product over 6 symbols (key space 0.53 of the pairs), 9x on knight(4)^2
-    # squared, 1.4-3x on 10-50-term operands that collapse.  It loses
-    # (0.3-0.7x) where the key space far exceeds the pair count, so that
-    # hardly any pair collides, and (0.2-0.8x) when an operand has fewer
-    # than 8 terms: its fixed cost is about 15 us, and a binomial times a
-    # long polynomial collapses only half of its pairs.
+    # The packed path wins where many pairs share a product term, which a
+    # key space small next to the pair count makes likely.  Measured against
+    # the dict path on CPython 3.11 with numpy 2.4 (one shared core, best of
+    # 3-200 runs): 20x on a 1000x1000-term product over 6 symbols (key space
+    # 0.53 of the pairs), 3-7x on knight(4)^2 (2.85 keys per pair), 2-9x on
+    # 24-100-term operands over 3 symbols at up to 15 keys per pair.  Where
+    # it breaks even depends on the operands: at 50-400 keys per pair for 3
+    # symbols and 16-48 terms, but already at 2-7 (0.9-1.15x) for one-symbol
+    # operands, whose dict path merges 1-tuples cheaply.  At the 8-term floor
+    # it runs 0.7-0.9x, its fixed cost being about 100 us of numpy calls.
+    # Up to 4 keys per pair it won on every input above the floor except
+    # one-symbol operands of 12-24 terms (0.77-1.1x), and the accumulator
+    # then costs at most 36 bytes per pair.
     if min(len(p), len(q)) >= _PACKED_MIN_TERMS:
         columns = _columns(p, q)
         size = 1
         for _, _, span in columns:
             size *= span
-        if size < len(p) * len(q):
+        if size <= _PACKED_KEYS_PER_PAIR * len(p) * len(q):
             return _mul_packed(p, q, columns)
     return mul_terms_dict(p, q)
 
@@ -101,11 +118,10 @@ def mul_terms_dict(p, q):
     for t1, c1 in p.items():
         for t2, c2 in q_items:
             t = merge_terms(t1, t2)
-            c = get(t, 0.0) + c1 * c2
-            if c == 0.0:
-                out.pop(t, None)
-            else:
-                out[t] = c
+            out[t] = get(t, 0.0) + c1 * c2
+    if 0.0 in out.values():
+        for t in [t for t, c in out.items() if c == 0.0]:
+            del out[t]
     return out
 
 
@@ -198,68 +214,111 @@ def _power_ranges(terms):
 
 
 def _mul_packed(p, q, columns):
+    # Precondition, kept by mul_terms: a key space of at most
+    # _PACKED_KEYS_PER_PAIR keys per term pair.  Every column's span, and
+    # with it every power sum and every key, then lies far inside the
+    # signed 64-bit range, and the accumulator costs at most 9 bytes per key.
+    import numpy as np
+
     # A term's key holds each column's power in a mixed radix, biased by
     # the column's lowest power, so a pair's key is the sum of its terms'
-    # keys.  Absent symbols count as power 0, so a power sum outside int64
-    # needs the symbol in both terms of the extreme pair: the dict path
-    # raises on that pair too.
+    # keys and lies in [0, radix).
     weight = {}
     offset = 0
     radix = 1
     for s, low, span in columns:
-        high = low + span - 1
-        if high > INT64_MAX or low < INT64_MIN:
-            k = high if high > INT64_MAX else low
-            raise PowerOverflowError(f"power {k} of {s!r} outside the signed 64-bit range")
         weight[s] = radix
         offset -= low * radix
         radix *= span
-    p_keys = [(offset + sum([k * weight[s] for s, k in t]), c) for t, c in p.items()]
-    q_keys = [(sum([k * weight[s] for s, k in t]), c) for t, c in q.items()]
+    p_keys = np.array([offset + sum([k * weight[s] for s, k in t]) for t in p], dtype=np.int64)
+    q_keys = np.array([sum([k * weight[s] for s, k in t]) for t in q], dtype=np.int64)
+    p_coeffs = np.fromiter(p.values(), float, len(p))
+    q_coeffs = np.fromiter(q.values(), float, len(q))
 
-    acc = {}
-    get = acc.get
-    for k1, c1 in p_keys:
-        for k2, c2 in q_keys:
-            k = k1 + k2
-            c = get(k, 0.0) + c1 * c2
-            if c == 0.0:
-                acc.pop(k, None)
-            else:
-                acc[k] = c
+    # The dense arrays are freed on return, before the result dict grows.
+    keys, coeffs = _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix)
 
     # Decode each key as a low and a high half, each about the square root
-    # of the key space, memoising the halves: terms then share their pairs.
+    # of the key space: each half that occurs is decoded once, into a list
+    # indexed by the half.  map and zip join the halves without a loop in
+    # Python, which measured about 25% faster on a 92k-term product.
     cut = 0
     split = 1
     while split * split < radix:
         split *= columns[cut][2]
         cut += 1
-    low_terms = _HalfTerms(columns[:cut])
-    high_terms = _HalfTerms(columns[cut:])
+    high, low = np.divmod(keys, split)
+    low_terms = _half_terms(low, split, columns[:cut])
+    high_terms = _half_terms(high, -(-radix // split), columns[cut:])
     out = {}
-    for key, c in acc.items():
-        high, low = divmod(key, split)
-        out[low_terms[low] + high_terms[high]] = c
+    for i in range(0, len(keys), _DECODE_CHUNK):
+        chunk = slice(i, i + _DECODE_CHUNK)
+        lows = map(low_terms.__getitem__, low[chunk].tolist())
+        highs = map(high_terms.__getitem__, high[chunk].tolist())
+        out.update(zip(map(operator.add, lows, highs), coeffs[chunk].tolist()))
     return out
 
 
-class _HalfTerms(dict):
-    """Canonical terms of some columns, keyed by packed key, decoded on demand."""
+def _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix):
+    """The keys of the nonzero product terms, in the order of their first
+    contribution, and their coefficients."""
+    import numpy as np
 
-    def __init__(self, columns):
-        super().__init__()
-        self.columns = columns
+    # ufunc.at adds the pairs of a block one at a time in the order given,
+    # p-outer and q-inner as in mul_terms_dict, so each sum rounds exactly
+    # as it does there.  Keys first met in a block are kept in the order of
+    # their first contribution, and a 1-byte mask marks the keys met so far.
+    acc = np.zeros(radix)
+    seen = np.zeros(radix, dtype=bool)
+    firsts = []
+    rows = max(1, _PACKED_BLOCK // len(q_keys))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects inf and nan
+        for i in range(0, len(p_keys), rows):
+            keys = (p_keys[i : i + rows, None] + q_keys).ravel()
+            np.add.at(acc, keys, (p_coeffs[i : i + rows, None] * q_coeffs).ravel())
+            fresh = keys[~seen[keys]]
+            if fresh.size:
+                fresh = _first_occurrences(fresh)
+                seen[fresh] = True
+                firsts.append(fresh)
+    keys = np.concatenate(firsts)
+    coeffs = acc[keys]
+    nonzero = coeffs != 0.0
+    return keys[nonzero], coeffs[nonzero]
 
-    def __missing__(self, key):
+
+def _first_occurrences(keys):
+    """The distinct values of an int64 array in the order they first occur."""
+    import numpy as np
+
+    # Sorting key * n + position puts each key's positions together, the
+    # first one first, without a slower stable sort.  Keys lie below the
+    # key space, at most _PACKED_KEYS_PER_PAIR per term pair, and n is at
+    # most the pairs of one block, so key * n stays inside int64.
+    n = len(keys)
+    tagged = np.sort(keys * n + np.arange(n))
+    grouped = tagged // n
+    first = np.ones(n, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    return keys[np.sort(tagged[first] % n)]
+
+
+def _half_terms(halves, size, columns):
+    """List of the terms of the packed halves that occur, indexed by half."""
+    import numpy as np
+
+    present = np.zeros(size, dtype=bool)
+    present[halves] = True
+    terms = [None] * size
+    for key in np.flatnonzero(present).tolist():
         pairs = []
         rest = key
-        for s, low, span in self.columns:
+        for s, low, span in columns:
             rest, digit = divmod(rest, span)
             if digit + low:
                 pairs.append((s, digit + low))
-        term = self[key] = tuple(pairs)
-        return term
+        terms[key] = tuple(pairs)
+    return terms
 
 
 def backend_name() -> str:

@@ -359,19 +359,46 @@ def test_hash_mismatch_exit_code(capsys, monkeypatch):
     assert "aaaa" in err
 
 
-def test_import_loads_no_numpy_and_binds_cli():
-    # numpy is most of the import time and only subvec needs it
+def _fresh_python(code, stdin=None):
+    """Run ``code`` in a new interpreter that imports this checkout's sparsepoly."""
     src = Path(sparsepoly.__file__).resolve().parents[1]
     path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_import_loads_no_numpy_and_binds_cli():
+    # numpy is most of the import time; only subvec and the packed
+    # multiply path need it
     code = (
         "import sys, sparsepoly\n"
         "assert 'numpy' not in sys.modules, 'import sparsepoly loaded numpy'\n"
         "assert callable(sparsepoly.cli.main)\n"
         "print(sparsepoly.__file__)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _fresh_python(code)
     assert done.returncode == 0, done.stderr
+    src = Path(sparsepoly.__file__).resolve().parents[1]
     assert Path(done.stdout.strip()).resolve().parent == src / "sparsepoly"
+
+
+def test_subs_on_stdin_loads_no_numpy():
+    # The products of a substitution on a CLI line stay on the dict path.
+    line = "a + b + a b x + x^2 + 3 x^3 + a x^4 + b^2 x^5 + x^6 + 2 x^7 + a b x^8 + x^9 + 7\n"
+    assert len(parse(line)) == 12
+    code = (
+        "import sys\n"
+        "from sparsepoly import cli\n"
+        "assert cli.main(['subs', '-', 'x=2 + b']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'subs loaded numpy'\n"
+    )
+    done = _fresh_python(code, stdin=line)
+    assert done.returncode == 0, done.stderr
+    assert parse(done.stdout) == sparsepoly.subs(parse(line), x="2 + b")

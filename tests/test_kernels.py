@@ -1,5 +1,6 @@
 """The packed multiply path must be observably identical to the dict path."""
 
+import math
 import random
 
 import numpy as np
@@ -35,6 +36,21 @@ def _laurent(rng, n_terms, symbols, lo=-4, hi=4):
     return out
 
 
+def _laurent_exactly(rng, n_terms, symbols, lo, hi):
+    out = {}
+    while len(out) < n_terms:
+        out.update(_laurent(rng, 1, symbols, lo, hi))
+    return out
+
+
+# More term pairs than one block of the packed accumulator, with a row
+# count that does not divide the block.
+_MANY_BLOCKS = (
+    _laurent_exactly(random.Random(6), 290, "abc", -4, 4),
+    _laurent_exactly(random.Random(7), 251, "abc", -4, 4),
+)
+
+
 def _input_pairs():
     rng = random.Random(4)
     pairs = []
@@ -43,6 +59,12 @@ def _input_pairs():
     for n in (1, 3, 8, 20, 60):
         pairs.append((_laurent(rng, n, "abc"), _laurent(rng, 2 * n, "abc")))
         pairs.append((_laurent(rng, n, "abcdefghij"), _laurent(rng, n, "abcdefghij")))
+    # key spaces the packed path takes: many pairs share each product term
+    for _ in range(30):
+        symbols, top = rng.choice((("ab", 2), ("abc", 1)))
+        p, q = (_laurent_exactly(rng, rng.randint(6, 20), symbols, -top, top) for _ in "pq")
+        pairs.append((p, q))
+    pairs.append(_MANY_BLOCKS)
     x_plus_1 = {(("x", 1),): 1.0, (): 1.0}
     x_minus_1 = {(("x", 1),): 1.0, (): -1.0}
     k = knight(3)._terms
@@ -59,16 +81,55 @@ def _input_pairs():
     return pairs
 
 
+def _admitted(p, q):
+    """Whether the key space of p * q is one that mul_terms lets the packed
+    path take, the 8-term floor aside."""
+    size = math.prod(span for _, _, span in _kernel._columns(p, q))
+    return size <= _kernel._PACKED_KEYS_PER_PAIR * len(p) * len(q)
+
+
 def _packed(p, q):
-    """The packed path, whatever the size of its key space."""
+    """The packed path, on a key space that mul_terms admits."""
+    assert _admitted(p, q)
     return _kernel._mul_packed(p, q, _kernel._columns(p, q))
 
 
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Operand sizes of each call of the packed path."""
+    calls = []
+    real = _kernel._mul_packed
+
+    def spy(p, q, columns):
+        calls.append((len(p), len(q)))
+        return real(p, q, columns)
+
+    monkeypatch.setattr(_kernel, "_mul_packed", spy)
+    return calls
+
+
 def test_packed_equals_dict_bitwise():
+    admitted = 0
     for p, q in _input_pairs():
         want = _kernel.mul_terms_dict(p, q)
-        _assert_bitwise_equal(_packed(p, q), want)
+        if _admitted(p, q):
+            _assert_bitwise_equal(_packed(p, q), want)
+            admitted += 1
         _assert_bitwise_equal(_kernel.mul_terms(p, q), want)
+    assert admitted >= 35
+    assert len(_MANY_BLOCKS[0]) * len(_MANY_BLOCKS[1]) > _kernel._PACKED_BLOCK
+
+
+def test_terms_keep_the_order_of_their_first_contribution():
+    # In p-outer, q-inner order x gets +a, -a, +b and x^2 gets +a, -a.  x^3
+    # first appears between x's second and third contributions, so x, though
+    # its sum is 0 on the way, keeps its first place.
+    a, b = 0.1, 0.7
+    p = {(): 1.0, (("x", 1),): 1.0, (("x", 2),): 1.0}
+    q = {(("x", 1),): a, (): -a, (("x", -1),): b}
+    want = {(("x", 1),): 0.0 + b, (): (0.0 - a) + b, (("x", -1),): b, (("x", 3),): a}
+    for got in (_kernel.mul_terms_dict(p, q), _packed(p, q)):
+        _assert_bitwise_equal(got, want)
 
 
 def test_exact_cancellation_leaves_no_zero():
@@ -77,20 +138,24 @@ def test_exact_cancellation_leaves_no_zero():
     assert _packed(p, q) == {(("x", 2),): 1.0, (): -1.0}
 
 
-def test_path_selection(monkeypatch):
-    packed_calls = []
-    real = _kernel._mul_packed
-
-    def spy(p, q, columns):
-        packed_calls.append((len(p), len(q)))
-        return real(p, q, columns)
-
-    monkeypatch.setattr(_kernel, "_mul_packed", spy)
+def test_path_selection(packed_calls):
     rng = random.Random(5)
     k = knight(4)._terms
-    k2 = _kernel.mul_terms(k, k)  # key space 9^4, above the 48^2 pairs
+    k2 = _kernel.mul_terms(k, k)  # key space 9^4, 2.85 keys per pair
     _kernel.mul_terms(k2, k2)  # key space 17^4, below the pair count
-    assert packed_calls == [(len(k2), len(k2))]
+    assert packed_calls == [(48, 48), (len(k2), len(k2))]
+
+    # 8 x 8 terms in one symbol: powers 0-6 and one more, so the key space
+    # is one past the sum of the two top powers
+    packed_calls.clear()
+    edge = _kernel._PACKED_KEYS_PER_PAIR * 64
+    low = {(("x", i),): 1.0 for i in range(1, 7)} | {(): 1.0}
+    top = edge // 2
+    p = low | {(("x", top),): 1.0}
+    _kernel.mul_terms(p, low | {(("x", edge - top - 1),): 1.0})  # at the limit
+    assert packed_calls == [(8, 8)]
+    _kernel.mul_terms(p, low | {(("x", edge - top),): 1.0})  # one key past it
+    assert packed_calls == [(8, 8)]
 
     packed_calls.clear()
     few = {(("x", i),): 1.0 for i in range(1, 4)}
@@ -100,6 +165,8 @@ def test_path_selection(monkeypatch):
     assert packed_calls == []
 
 
+# Eight terms each, but the box counts power 0 in, so the key space is
+# about 2^63 and mul_terms takes the dict path.
 _EIGHT_ABOVE = {(("x", 2**62 + i),): 1.0 for i in range(8)}
 _EIGHT_BELOW = {(("x", 2**62 - 8 + i),): 1.0 for i in range(8)}  # top sum 2^63 - 2
 
@@ -115,18 +182,22 @@ _EIGHT_BELOW = {(("x", 2**62 - 8 + i),): 1.0 for i in range(8)}  # top sum 2^63 
         ({(("x", INT64_MAX),): 1.0, (): 2.0}, {(("y", 1),): 1.0, (): 1.0}, False),
         ({(("x", INT64_MAX), ("y", 1)): 1.0}, {(("x", 1), ("y", -1)): 1.0}, True),
         ({(("x", INT64_MAX),): 1.0}, {}, False),
-        # eight terms each and a key space of 15: mul_terms takes the packed path
+        # eight terms each
         (_EIGHT_ABOVE, _EIGHT_ABOVE, True),
         (_EIGHT_BELOW, _EIGHT_BELOW, False),
     ],
 )
-def test_overflow_raised_by_both_paths_alike(p, q, overflows):
-    for path in (_kernel.mul_terms_dict, _packed, _kernel.mul_terms):
+def test_overflow_raised_by_both_paths_alike(p, q, overflows, packed_calls):
+    # Powers this large make key spaces the packed path never takes, so
+    # mul_terms hands them to the dict path, which raises on the pair.
+    assert not _admitted(p, q)
+    for path in (_kernel.mul_terms_dict, _kernel.mul_terms):
         if overflows:
             with pytest.raises(PowerOverflowError):
                 path(p, q)
         else:
             _assert_bitwise_equal(path(p, q), _kernel.mul_terms_dict(p, q))
+    assert packed_calls == []
 
 
 def _rows(terms):
