@@ -197,7 +197,8 @@ class Mvp:
         if isinstance(other, Mvp):
             return self._terms == other._terms
         if isinstance(other, (int, float)):
-            return self._terms == Mvp.from_number(other)._terms
+            # No polynomial equals inf, nan or an int beyond the doubles.
+            return self._terms == ({(): other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -143,9 +143,6 @@ class Disord:
     def __ge__(self, other):
         return self._binary(other, lambda a, b: a >= b)
 
-    def equal_elementwise(self, other) -> "Disord":
-        return self._binary(other, lambda a, b: a == b)
-
     def __getitem__(self, mask: "Disord") -> "Disord":
         return self.filter(mask)
 

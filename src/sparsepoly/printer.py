@@ -51,10 +51,10 @@ def render(
 
     ``order="lex"`` takes an optional ``varorder`` giving the variable
     precedence (alphabetical by default); when given it must cover every
-    symbol of ``p``.  The text parses back to an equal polynomial only
-    when every coefficient has at most 7 significant digits, since
-    ``format_number`` rounds to 7: ``parse(render(x / 3))`` differs from
-    ``x / 3``.  ``canonical_json`` is the lossless form.
+    symbol of ``p`` and name each symbol once.  The text parses back to an
+    equal polynomial only when every coefficient has at most 7 significant
+    digits, since ``format_number`` rounds to 7: ``parse(render(x / 3))``
+    differs from ``x / 3``.  ``canonical_json`` is the lossless form.
     """
     if order == "canonical":
         if varorder is not None:
@@ -63,6 +63,9 @@ def render(
     elif order == "lex":
         syms = p.symbols()
         vo = list(varorder) if varorder is not None else sorted(syms)
+        repeated = sorted({s for s in vo if vo.count(s) > 1})
+        if repeated:
+            raise ValueError(f"varorder repeats symbols: {repeated}")
         missing = set(syms) - set(vo)
         if missing:
             raise ValueError(f"varorder does not cover symbols: {sorted(missing)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Mvp, power_of, total_degree
+from .core import Mvp, power_of, require_symbol, total_degree
 from .parser import parse
 from .transform import subs
 
@@ -47,10 +47,13 @@ def trunc(p: Mvp, n: int) -> Mvp:
 def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
     """Keep terms whose power of each listed symbol is at most its limit.
 
-    A symbol absent from a term counts as power 0.
+    A symbol absent from a term counts as power 0.  An invalid symbol name
+    raises ValueError.
     """
     merged = dict(limits or {})
     merged.update(by_name)
+    for s in merged:
+        require_symbol(s)
     out = {
         t: c
         for t, c in p._terms.items()
@@ -65,9 +68,12 @@ def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
     Keeps the terms whose power of each target symbol equals the target
     exactly (absent counting as 0), then deletes those symbols from what
     remains: the result is the factor multiplying the requested monomial.
+    An invalid symbol name raises ValueError.
     """
     merged = dict(targets or {})
     merged.update(by_name)
+    for s in merged:
+        require_symbol(s)
     out: dict = {}
     for t, c in p._terms.items():
         if all(power_of(t, s) == k for s, k in merged.items()):
@@ -92,7 +98,9 @@ def series(p: Mvp, variable: str) -> SeriesDecomposition:
 
     The component at power k collects every term carrying variable**k,
     with the variable itself removed, so components never mention it.
+    An invalid symbol name raises ValueError.
     """
+    require_symbol(variable)
     groups: dict[int, dict] = {}
     for t, c in p._terms.items():
         k = power_of(t, variable)
@@ -110,8 +118,11 @@ def taylor(p: Mvp, variable: str, about: str) -> SeriesDecomposition:
 
     Substitutes ``variable -> variable_m_about + about`` and decomposes in
     the shifted variable, which displays as ``(variable-about)``.  The
-    variable must occur with nonnegative powers only.
+    variable must occur with nonnegative powers only, and both names must
+    be symbols: an invalid one raises ValueError.
     """
+    require_symbol(variable)
+    require_symbol(about)
     shifted_name = f"{variable}_m_{about}"
     shifted = subs(
         p, [(variable, parse(f"{shifted_name} + {about}"))], lose=False

@@ -45,6 +45,13 @@ def test_eval_lex_varorder(capsys):
     assert out == "x^2 + x + y"
 
 
+def test_eval_lex_repeated_varorder_exit_code(capsys):
+    code, out, err = run(capsys, "eval", "x^2 y", "--order", "lex", "--varorder", "x,x,y")
+    assert code == 1
+    assert out == ""
+    assert "repeats" in err
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, "eval", "2 x", "--json")
     assert code == 0
@@ -332,6 +339,23 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
     assert out == ""
     assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "x+y", "1bad"],
+        ["taylor", "x^2", "x", "y+z"],
+        ["trunc1", "x+y", "1bad=0"],
+        ["onevarpow", "x+y", "1bad=0"],
+        ["knight", "2", "--onevarpow", "1bad=0"],
+    ],
+)
+def test_invalid_symbol_name_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "invalid symbol name" in err
 
 
 def test_domain_error_exit_code(capsys):

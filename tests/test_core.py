@@ -123,6 +123,15 @@ def test_eq_against_numbers():
     assert parse("x") != 1
 
 
+@pytest.mark.parametrize(
+    "number", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+def test_eq_against_numbers_no_polynomial_equals(number):
+    for p in (parse("x"), parse("3"), Mvp.zero()):
+        assert not p == number
+        assert p != number
+
+
 def test_mvp_constructor_merges_and_drops():
     p = Mvp([({"x": 1}, 2.0), ({"x": 1}, -2.0), ({}, 4.0)])
     assert p == 4

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import box_mul, random_mvp, to_box
-from sparsepoly import Mvp, PowerOverflowError, backend_name, knight, parse
+from sparsepoly import PowerOverflowError, backend_name, knight, parse
 from sparsepoly import _kernel
 
 INT64_MAX = 2**63 - 1
@@ -205,43 +205,22 @@ def _rows(terms):
     return [(t, c.hex()) for t, c in sorted(terms.items())]
 
 
-def test_power_strategy_follows_density(monkeypatch):
-    calls = []
-    for name in ("_pow_by_multiplying", "_pow_by_squaring"):
-        real = getattr(_kernel, name)
-
-        def spy(terms, n, name=name, real=real):
-            calls.append(name)
-            return real(terms, n)
-
-        monkeypatch.setattr(_kernel, name, spy)
-    knight(4) ** 4  # 48 terms in a 5^4 box
-    assert calls == ["_pow_by_multiplying"]
-    calls.clear()
-    parse("1+x+y") ** 8  # 3 terms in a 2x2 box
-    parse("1+x") ** 32
-    assert calls == ["_pow_by_squaring", "_pow_by_squaring"]
-    calls.clear()
-    knight(4) ** 2  # a square is one product either way
-    parse("y^5") ** 8  # one term: its powers stay one term
-    Mvp.zero() ** 8
-    assert calls == ["_pow_by_squaring"] * 3
-
-
 @pytest.mark.parametrize(
     "base, top",
     # knight(4)**6 is checked in the walk-count test below
     [(knight(3), 6), (knight(4), 5), (parse("1+x+y"), 12), (parse("x^-1 + 2 + 3 y^2"), 9)],
 )
 def test_power_strategies_bitwise_equal(base, top):
+    # Binary squaring against repeated multiplication on the dict path.
+    chain = base._terms
     for n in range(2, top + 1):
-        by_multiplying = _kernel._pow_by_multiplying(base._terms, n)
-        assert _rows(by_multiplying) == _rows(_kernel._pow_by_squaring(base._terms, n))
+        chain = _kernel.mul_terms_dict(chain, base._terms)
+        assert _rows(_kernel.pow_terms(base._terms, n)) == _rows(chain)
 
 
 def test_knight_sixth_power_counts_walks():
     # Walks of six moves by end point, from the dense-array oracle; the
-    # power goes by repeated multiplication.
+    # power goes by squaring, the oracle by repeated multiplication.
     symbols = ("a", "b", "c", "d")
     moves = to_box(knight(4), symbols, -2, 2)
     walks = moves

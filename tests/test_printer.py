@@ -74,6 +74,12 @@ def test_lex_incomplete_varorder_rejected():
         render(parse("x + y"), order="lex", varorder=["x"])
 
 
+def test_lex_repeated_varorder_rejected():
+    # x,x,y would print x^2 y as "x^2 x^2 y", which parses as x^4 y.
+    with pytest.raises(ValueError, match="repeats"):
+        render(parse("x^2 y"), order="lex", varorder=["x", "x", "y"])
+
+
 def test_varorder_without_lex_rejected():
     with pytest.raises(ValueError):
         render(parse("x"), varorder=["x"])

@@ -1,5 +1,6 @@
 """Truncation, extraction, and series decomposition."""
 
+import pytest
 from hypothesis import given, settings
 
 import strategies
@@ -153,3 +154,19 @@ def test_taylor_reconstructs_source():
     p = parse("1+x-x*y+a") ** 2
     d = taylor(p, "x", "a")
     assert subs(reconstruct(d), x_m_a="x - a", lose=False) == p
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p: series(p, "1bad"),
+        lambda p: taylor(p, "x", "y+z"),
+        lambda p: taylor(p, "x y", "z"),
+        lambda p: trunc1(p, {"1bad": 0}),
+        lambda p: onevarpow(p, {"1bad": 0}),
+    ],
+    ids=["series", "taylor about", "taylor variable", "trunc1", "onevarpow"],
+)
+def test_invalid_symbol_names_rejected(op):
+    with pytest.raises(ValueError, match="invalid symbol name"):
+        op(parse("x^2 + y"))
