@@ -5,20 +5,12 @@ from __future__ import annotations
 import operator
 
 from ._kernel import mul_terms, pow_terms
-from .core import Mvp
+from .core import Mvp, add_terms
 
 
 def add(p: Mvp, q: Mvp) -> Mvp:
     """Termwise coefficient sum with exact-zero deletion."""
-    out = dict(p._terms)
-    get = out.get
-    for t, c in q._terms.items():
-        s = get(t, 0.0) + c
-        if s == 0.0:
-            out.pop(t, None)
-        else:
-            out[t] = s
-    return Mvp._from_clean(out)
+    return Mvp._from_clean(add_terms(dict(p._terms), q._terms.items()))
 
 
 def negate(p: Mvp) -> Mvp:
@@ -32,14 +24,15 @@ def subtract(p: Mvp, q: Mvp) -> Mvp:
 def scale(p: Mvp, factor: float) -> Mvp:
     """Multiply every coefficient by a number."""
     factor = float(factor)
-    if factor == 0.0:
-        return Mvp.zero()
-    out = {}
-    for t, c in p._terms.items():
-        c = c * factor
-        if c != 0.0:
-            out[t] = c
-    return Mvp._from_clean(out)
+    return Mvp._from_clean({t: q for t, c in p._terms.items() if (q := c * factor) != 0.0})
+
+
+def divide(p: Mvp, d: float) -> Mvp:
+    """Divide every coefficient by a nonzero number; underflows to 0.0 go."""
+    d = float(d)
+    if d == 0.0:
+        raise ZeroDivisionError("polynomial division by zero")
+    return Mvp._from_clean({t: q for t, c in p._terms.items() if (q := c / d) != 0.0})
 
 
 def multiply(p: Mvp, q: Mvp) -> Mvp:

@@ -10,6 +10,11 @@ time something reads the order: iteration, rendering, serialization, the
 disord extractions.  So serialization is deterministic, yet no public
 operation attaches meaning to that order; coefficient-level work goes
 through the disord module instead.
+
+Every operation that sums coefficients into a term map goes through
+``add_terms``, so this module alone owns that invariant: no stored zero,
+and sums taken in the order the terms arrive.  The multiply kernel is the
+exception; it drops zeros at the end of a pass (``_kernel``).
 """
 
 from __future__ import annotations
@@ -93,6 +98,49 @@ def power_of(t: Term, symbol: str) -> int:
     return 0
 
 
+def split_term(t: Term, symbol: str) -> tuple[int, Term]:
+    """Return (power of ``symbol``, the term without ``symbol``)."""
+    k = 0
+    rest = []
+    for pair in t:
+        if pair[0] == symbol:
+            k = pair[1]
+        else:
+            rest.append(pair)
+    return k, tuple(rest)
+
+
+def group_by_power(terms: dict, symbol: str) -> dict[int, dict]:
+    """Group terms by their power of ``symbol``, that symbol removed.
+
+    Maps each power k to {rest: coeff}, both in the order the terms come.
+    Distinct terms give distinct (k, rest), so nothing is summed.
+    """
+    groups: dict[int, dict] = {}
+    for t, c in terms.items():
+        k, rest = split_term(t, symbol)
+        groups.setdefault(k, {})[rest] = c
+    return groups
+
+
+def add_terms(out: dict, pairs) -> dict:
+    """Add each (term, coefficient) pair into ``out``; return ``out``.
+
+    The one insertion rule of the package: pairs are summed in the order
+    they come, and a term whose sum is exactly 0.0 is deleted, so a term
+    that cancels and comes back is stored after the terms met meanwhile.
+    Terms must already be normalized.
+    """
+    get = out.get
+    for t, c in pairs:
+        s = get(t, 0.0) + c
+        if s == 0.0:
+            out.pop(t, None)
+        else:
+            out[t] = s
+    return out
+
+
 class Mvp:
     """A sparse multivariate Laurent polynomial.
 
@@ -112,13 +160,7 @@ class Mvp:
         data: dict[Term, float] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for raw_term, c in items:
-                t = normalize_term(raw_term)
-                c = data.get(t, 0.0) + float(c)
-                if c == 0.0:
-                    data.pop(t, None)
-                else:
-                    data[t] = c
+            add_terms(data, ((normalize_term(t), float(c)) for t, c in items))
         self._terms = check_finite(data)
         self._ordered = len(data) < 2
 
@@ -202,7 +244,9 @@ class Mvp:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Order-free, like __eq__: it needs no canonical order.
+        # Order-free, like __eq__; a constant hashes as the number it equals.
+        if self.is_constant:
+            return hash(self._terms.get((), 0.0))
         return hash(frozenset(self._terms.items()))
 
     # Ring operators delegate to the arith module; imports are deferred to
@@ -256,7 +300,7 @@ class Mvp:
         from . import arith
 
         if isinstance(other, (int, float)):
-            return arith.scale(self, 1.0 / other)
+            return arith.divide(self, other)
         raise TypeError("polynomials can only be divided by a number")
 
     def __pow__(self, n):
@@ -283,18 +327,11 @@ def _lift_operand(other):
 def accumulate(p: Mvp, term, coeff: float) -> Mvp:
     """Add ``coeff`` onto one term's coefficient, deleting exact zeros.
 
-    The insertion primitive behind every other operation: the result maps
-    ``term`` to its old coefficient plus ``coeff``, with the entry removed
-    when the sum is exactly 0.0.  ``coeff == 0`` is a no-op.
+    The public face of ``add_terms``: the result maps ``term`` to its old
+    coefficient plus ``coeff``, with the entry removed when the sum is
+    exactly 0.0.  ``coeff == 0`` is a no-op.
     """
-    t = normalize_term(term)
-    out = dict(p._terms)
-    c = out.get(t, 0.0) + float(coeff)
-    if c == 0.0:
-        out.pop(t, None)
-    else:
-        out[t] = c
-    return Mvp._from_clean(out)
+    return Mvp._from_clean(add_terms(dict(p._terms), [(normalize_term(term), float(coeff))]))
 
 
 def constant(p: Mvp) -> float:

@@ -6,7 +6,7 @@ import math
 import random
 import string
 
-from .core import Mvp, require_symbol
+from .core import Mvp, add_terms, require_symbol
 from .disord import coeffs, powers
 
 
@@ -61,20 +61,17 @@ def rmvp(
         if not pool:
             raise ValueError("alphabet must not be empty")
     rng = random.Random(seed)
-    out: dict = {}
-    for _ in range(n_terms):
-        coeff = float(rng.randint(1, n_terms))
-        merged: dict = {}
-        for _ in range(symbols_per_term):
-            s = rng.choice(pool)
-            merged[s] = merged.get(s, 0) + rng.randint(1, max_power)
-        term = tuple(sorted(merged.items()))
-        c = out.get(term, 0.0) + coeff
-        if c == 0.0:
-            out.pop(term, None)
-        else:
-            out[term] = c
-    return Mvp._from_clean(out)
+
+    def draws():
+        for _ in range(n_terms):
+            coeff = float(rng.randint(1, n_terms))
+            merged: dict = {}
+            for _ in range(symbols_per_term):
+                s = rng.choice(pool)
+                merged[s] = merged.get(s, 0) + rng.randint(1, max_power)
+            yield tuple(sorted(merged.items())), coeff
+
+    return Mvp._from_clean(add_terms({}, draws()))
 
 
 def expected_distance(p: Mvp) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .core import INT64_MAX, INT64_MIN, Mvp
+from .core import INT64_MAX, INT64_MIN, Mvp, add_terms
 
 _WS = " \t\r\n"
 
@@ -57,47 +57,39 @@ def parse(text: str) -> Mvp:
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
     n = len(text)
-    pos = 0
 
     def skip_ws(i: int) -> int:
         while i < n and text[i] in _WS:
             i += 1
         return i
 
-    pos = skip_ws(pos)
+    pos = skip_ws(0)
     if pos == n:
         raise ParseError(pos, "empty expression")
 
-    acc: dict[tuple, float] = {}
-    sign = 1.0
-    if text[pos] == "+":
-        pos += 1
-    elif text[pos] == "-":
-        sign = -1.0
-        pos += 1
-
-    while True:
-        coeff, powers, pos = _product(text, pos)
-        term = tuple(sorted((s, k) for s, k in powers.items() if k != 0))
-        c = acc.get(term, 0.0) + sign * coeff
-        if c == 0.0:
-            acc.pop(term, None)
-        else:
-            acc[term] = c
-
-        pos = skip_ws(pos)
-        if pos == n:
-            break
-        ch = text[pos]
-        if ch == "+":
-            sign = 1.0
-        elif ch == "-":
+    def signed_terms(pos):
+        sign = 1.0
+        if text[pos] == "+":
+            pos += 1
+        elif text[pos] == "-":
             sign = -1.0
-        else:
-            raise ParseError(pos, f"unexpected character {ch!r}")
-        pos += 1
+            pos += 1
+        while True:
+            coeff, powers, pos = _product(text, pos)
+            yield tuple(sorted((s, k) for s, k in powers.items() if k != 0)), sign * coeff
+            pos = skip_ws(pos)
+            if pos == n:
+                return
+            ch = text[pos]
+            if ch == "+":
+                sign = 1.0
+            elif ch == "-":
+                sign = -1.0
+            else:
+                raise ParseError(pos, f"unexpected character {ch!r}")
+            pos += 1
 
-    return Mvp._from_clean(acc)
+    return Mvp._from_clean(add_terms({}, signed_terms(pos)))
 
 
 def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:

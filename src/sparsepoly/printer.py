@@ -20,7 +20,7 @@ import math
 from decimal import Decimal
 from typing import Optional, Sequence
 
-from .core import Mvp, power_of
+from .core import Mvp, power_of, require_symbol
 
 
 def format_number(x: float) -> str:
@@ -62,7 +62,7 @@ def render(
         items = [(t, c) for t, c in p.terms()]
     elif order == "lex":
         syms = p.symbols()
-        vo = list(varorder) if varorder is not None else sorted(syms)
+        vo = [require_symbol(s) for s in varorder] if varorder is not None else sorted(syms)
         repeated = sorted({s for s in vo if vo.count(s) > 1})
         if repeated:
             raise ValueError(f"varorder repeats symbols: {repeated}")

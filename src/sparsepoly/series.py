@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Mvp, power_of, require_symbol, total_degree
+from .core import Mvp, add_terms, group_by_power, power_of, require_symbol, total_degree
 from .parser import parse
 from .transform import subs
 
@@ -74,16 +74,12 @@ def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
     merged.update(by_name)
     for s in merged:
         require_symbol(s)
-    out: dict = {}
-    for t, c in p._terms.items():
-        if all(power_of(t, s) == k for s, k in merged.items()):
-            rest = tuple(pair for pair in t if pair[0] not in merged)
-            s2 = out.get(rest, 0.0) + c
-            if s2 == 0.0:
-                out.pop(rest, None)
-            else:
-                out[rest] = s2
-    return Mvp._from_clean(out)
+    kept = (
+        (tuple(pair for pair in t if pair[0] not in merged), c)
+        for t, c in p._terms.items()
+        if all(power_of(t, s) == k for s, k in merged.items())
+    )
+    return Mvp._from_clean(add_terms({}, kept))
 
 
 def _display_for(variable: str) -> Optional[str]:
@@ -101,12 +97,7 @@ def series(p: Mvp, variable: str) -> SeriesDecomposition:
     An invalid symbol name raises ValueError.
     """
     require_symbol(variable)
-    groups: dict[int, dict] = {}
-    for t, c in p._terms.items():
-        k = power_of(t, variable)
-        rest = tuple(pair for pair in t if pair[0] != variable)
-        g = groups.setdefault(k, {})
-        g[rest] = g.get(rest, 0.0) + c
+    groups = group_by_power(p._terms, variable)
     components = tuple(
         (k, Mvp._from_clean(groups[k])) for k in sorted(groups)
     )

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._kernel import mul_terms, pow_terms
-from .core import Mvp, check_power, constant, require_symbol
+from .core import (
+    Mvp, add_terms, check_power, constant, group_by_power, require_symbol, split_term,
+)
 from .parser import parse_or_lift
 
 
@@ -30,52 +32,34 @@ def _as_bindings(pairs, by_name) -> list[Binding]:
     return out
 
 
-def _split_term(t, symbol):
-    """Return (power of symbol, term without symbol)."""
-    k = 0
-    rest = []
-    for s, p in t:
-        if s == symbol:
-            k = p
-        else:
-            rest.append((s, p))
-    return k, tuple(rest)
-
-
 def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
-    cval = constant(value) if value.is_constant else None
+    if value.is_constant:
+        cval = constant(value)
 
-    if cval is not None:
-        out: dict = {}
-        for t, c in terms.items():
-            k, rest = _split_term(t, symbol)
-            if k != 0:
-                if cval == 0.0:
-                    if k < 0:
-                        raise ZeroDivisionError(
-                            f"substituting 0 for {symbol!r} raised to power {k}"
-                        )
-                    continue  # term vanishes
-                c = c * cval**k
-            s = out.get(rest, 0.0) + c
-            if s == 0.0:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-        return out
+        def scaled():
+            for t, c in terms.items():
+                k, rest = split_term(t, symbol)
+                if k != 0:
+                    if cval == 0.0:
+                        if k < 0:
+                            raise ZeroDivisionError(
+                                f"substituting 0 for {symbol!r} raised to power {k}"
+                            )
+                        continue  # term vanishes
+                    c = c * cval**k
+                yield rest, c
+
+        return add_terms({}, scaled())
 
     # Polynomial-valued substitution: group the residues by the power of
     # the bound symbol, then fold in value**k per group.
-    groups: dict[int, dict] = {}
-    for t, c in terms.items():
-        k, rest = _split_term(t, symbol)
+    groups = group_by_power(terms, symbol)
+    for k in groups:
         if k < 0:
             raise ValueError(
                 f"cannot substitute a non-constant polynomial for {symbol!r}, "
                 f"which occurs with negative power {k}"
             )
-        g = groups.setdefault(k, {})
-        g[rest] = g.get(rest, 0.0) + c
 
     # value**k in ascending k, each from the one before.
     out = {}
@@ -85,12 +69,7 @@ def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
             step = pow_terms(value._canonical(), k - k_prev)
             vk = mul_terms(vk, step) if k_prev else step
             k_prev = k
-        for t, c in mul_terms(groups[k], vk).items():
-            s = out.get(t, 0.0) + c
-            if s == 0.0:
-                out.pop(t, None)
-            else:
-                out[t] = s
+        add_terms(out, mul_terms(groups[k], vk).items())
     return out
 
 

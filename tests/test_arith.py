@@ -18,6 +18,7 @@ from sparsepoly import (
     render,
     set_coeffs,
     subs,
+    validate,
 )
 
 S1 = parse("b d^2 + 5 b^2 d^2 + 2 b^4 + 4 c d + 3 c d^2")
@@ -107,6 +108,25 @@ def test_scalar_division():
     assert parse("4 x") / 2 == parse("2 x")
     with pytest.raises(TypeError):
         parse("x") / parse("y")
+
+
+def test_division_divides_each_coefficient():
+    # Multiplying by 1/10 would store 0.30000000000000004.
+    assert (parse("3 x") / 10).coefficient([("x", 1)]) == 0.3
+    assert parse("3 x") / 10 == parse("0.3 x")
+    # 1/1e-320 overflows a double, but 1e-20/1e-320 = 1e300 does not.
+    assert Mvp({(("x", 1),): 1e-20}) / 1e-320 == Mvp({(("x", 1),): 1e-20 / 1e-320})
+    # A quotient that underflows to 0.0 is dropped, never stored.
+    q = Mvp({(("x", 1),): 5e-324, (("y", 1),): 1.0}) / 4.0
+    assert q == parse("0.25 y")
+    validate(q)
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+def test_division_by_zero_raises(zero):
+    for p in (parse("x"), Mvp.zero()):
+        with pytest.raises(ZeroDivisionError):
+            p / zero
 
 
 @given(strategies.mvps)

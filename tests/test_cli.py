@@ -52,6 +52,13 @@ def test_eval_lex_repeated_varorder_exit_code(capsys):
     assert "repeats" in err
 
 
+def test_eval_lex_invalid_varorder_name_exit_code(capsys):
+    code, out, err = run(capsys, "eval", "x^2 y", "--order", "lex", "--varorder", "x,y,1bad")
+    assert code == 1
+    assert out == ""
+    assert "invalid symbol" in err
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, "eval", "2 x", "--json")
     assert code == 0

@@ -20,6 +20,7 @@ from sparsepoly import (
     subvec,
     validate,
 )
+from sparsepoly.core import add_terms
 
 
 def test_normalize_drops_zero_power():
@@ -130,6 +131,29 @@ def test_eq_against_numbers_no_polynomial_equals(number):
     for p in (parse("x"), parse("3"), Mvp.zero()):
         assert not p == number
         assert p != number
+
+
+def test_constants_hash_as_their_number():
+    # Equal values must hash alike, so a set or dict key treats them as one.
+    for p, number in ((parse("5"), 5), (parse("2.5"), 2.5), (Mvp.zero(), 0), (parse("-3"), -3.0)):
+        assert p == number
+        assert hash(p) == hash(number)
+        assert len({p, number}) == 1
+    assert hash(parse("x")) == hash(Mvp([({"x": 1}, 1.0)]))
+
+
+def test_cancelled_term_that_comes_back_is_stored_last():
+    # x, y, -x, 2x: x cancels to exactly 0.0 and is deleted, so when it
+    # comes back it is stored after y, which was first met later.
+    x, y = (("x", 1),), (("y", 1),)
+    expected = [(y, 1.0), (x, 2.0)]
+    built = Mvp([({"x": 1}, 1.0), ({"y": 1}, 1.0), ({"x": 1}, -1.0), ({"x": 1}, 2.0)])
+    assert list(built._terms.items()) == expected
+    assert list(parse("x + y - x + 2 x")._terms.items()) == expected
+    assert list(add_terms({}, [(x, 1.0), (y, 1.0), (x, -1.0), (x, 2.0)]).items()) == expected
+    out = {x: 1.0}
+    assert add_terms(out, [(x, -1.0)]) is out and out == {}
+    assert add_terms({}, [(x, 0.0)]) == {}
 
 
 def test_mvp_constructor_merges_and_drops():

@@ -80,6 +80,12 @@ def test_lex_repeated_varorder_rejected():
         render(parse("x^2 y"), order="lex", varorder=["x", "x", "y"])
 
 
+@pytest.mark.parametrize("bad", ["1bad", "", "x y", 3])
+def test_lex_varorder_names_must_be_symbols(bad):
+    with pytest.raises(ValueError, match="invalid symbol"):
+        render(parse("x^2 y"), order="lex", varorder=["x", "y", bad])
+
+
 def test_varorder_without_lex_rejected():
     with pytest.raises(ValueError):
         render(parse("x"), varorder=["x"])
