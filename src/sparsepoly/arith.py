@@ -40,9 +40,11 @@ def multiply(p: Mvp, q: Mvp) -> Mvp:
 
     The smaller operand is the kernel's outer one, read in canonical order
     so that each output term sums its contributions in one fixed order.
-    The inner one is read in canonical order too: that leaves the product
-    in long sorted runs, and its own sort, once something reads its
-    order, measured about 15% cheaper on a 92k-term product (CPython 3.11).
+    The inner one's order cannot change a sum, since one outer term meets
+    each product term at most once; it is read in canonical order only for
+    the dict path's stored order, which it leaves in long sorted runs that
+    the product's own sort reads cheaply.  The packed path stores its terms
+    in key order either way.
     """
     if len(p._terms) > len(q._terms):
         p, q = q, p

@@ -279,6 +279,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in _run(args):
             print(line)
         return 0
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # flush at exit does not raise again, as the Python docs advise.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except HashMismatch as e:
         print(f"sparsepoly: {e}", file=sys.stderr)
         return 2

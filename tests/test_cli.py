@@ -390,14 +390,18 @@ def test_hash_mismatch_exit_code(capsys, monkeypatch):
     assert "aaaa" in err
 
 
-def _fresh_python(code, stdin=None):
-    """Run ``code`` in a new interpreter that imports this checkout's sparsepoly."""
+def _fresh_env():
+    """The environment of a new interpreter that imports this checkout's sparsepoly."""
     src = Path(sparsepoly.__file__).resolve().parents[1]
     path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _fresh_python(code, stdin=None):
+    """Run ``code`` in a new interpreter that imports this checkout's sparsepoly."""
     return subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=_fresh_env(),
         input=stdin,
         capture_output=True,
         text=True,
@@ -433,3 +437,26 @@ def test_subs_on_stdin_loads_no_numpy():
     done = _fresh_python(code, stdin=line)
     assert done.returncode == 0, done.stderr
     assert parse(done.stdout) == sparsepoly.subs(parse(line), x="2 + b")
+
+
+def test_reader_that_closes_the_pipe_gets_no_traceback(tmp_path):
+    # sparsepoly eval - < lines | head -1: far more output than a pipe holds
+    lines = tmp_path / "lines.txt"
+    lines.write_text("1 + 2 x + 3 x^2 y + 4 y^3 z^-1\n" * 20000)
+    with open(lines) as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sparsepoly", "eval", "-"],
+            env=_fresh_env(),
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert parse(first) == parse("1 + 2 x + 3 x^2 y + 4 y^3 z^-1")
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+    assert code == 1

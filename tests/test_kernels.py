@@ -1,4 +1,4 @@
-"""The packed multiply path must be observably identical to the dict path."""
+"""The packed multiply path must give the dict path's coefficients bit for bit."""
 
 import math
 import random
@@ -17,10 +17,14 @@ def test_backend_is_known():
     assert backend_name() == "python"
 
 
+def _rows(terms):
+    # Terms in canonical order with each coefficient's exact bits.
+    return [(t, c.hex()) for t, c in sorted(terms.items())]
+
+
 def _assert_bitwise_equal(got, want):
-    # Same terms in the same insertion order, coefficients equal bit for bit.
-    assert list(got) == list(want)
-    assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+    # Same terms, coefficients equal bit for bit; stored order aside.
+    assert _rows(got) == _rows(want)
 
 
 def _laurent(rng, n_terms, symbols, lo=-4, hi=4):
@@ -120,16 +124,34 @@ def test_packed_equals_dict_bitwise():
     assert len(_MANY_BLOCKS[0]) * len(_MANY_BLOCKS[1]) > _kernel._PACKED_BLOCK
 
 
-def test_terms_keep_the_order_of_their_first_contribution():
-    # In p-outer, q-inner order x gets +a, -a, +b and x^2 gets +a, -a.  x^3
-    # first appears between x's second and third contributions, so x, though
-    # its sum is 0 on the way, keeps its first place.
+def test_a_sum_through_zero_keeps_its_later_bits():
+    # In p-outer, q-inner order x gets +a, -a, +b, the constant -a, +b and
+    # x^2 +a, -a.  x passes through 0 and survives as 0.0 + b; x^2 ends at
+    # 0 and goes.
     a, b = 0.1, 0.7
     p = {(): 1.0, (("x", 1),): 1.0, (("x", 2),): 1.0}
     q = {(("x", 1),): a, (): -a, (("x", -1),): b}
     want = {(("x", 1),): 0.0 + b, (): (0.0 - a) + b, (("x", -1),): b, (("x", 3),): a}
     for got in (_kernel.mul_terms_dict(p, q), _packed(p, q)):
         _assert_bitwise_equal(got, want)
+
+
+def test_packed_order_does_not_depend_on_operand_order(packed_calls):
+    # Integer coefficients sum exactly in any order, so the products are
+    # equal; the packed path stores its terms in key order either way.
+    rng = random.Random(8)
+    p, q = (
+        {t: float(rng.choice((-3, -2, -1, 1, 2, 3))) for t in _laurent_exactly(rng, 30, "abc", -2, 2)}
+        for _ in "pq"
+    )
+    want = _kernel.mul_terms(p, q)
+    for _ in range(5):
+        p_items, q_items = list(p.items()), list(q.items())
+        rng.shuffle(p_items)
+        rng.shuffle(q_items)
+        got = _kernel.mul_terms(dict(p_items), dict(q_items))
+        assert list(got.items()) == list(want.items())
+    assert packed_calls == [(30, 30)] * 6
 
 
 def test_exact_cancellation_leaves_no_zero():
@@ -198,11 +220,6 @@ def test_overflow_raised_by_both_paths_alike(p, q, overflows, packed_calls):
         else:
             _assert_bitwise_equal(path(p, q), _kernel.mul_terms_dict(p, q))
     assert packed_calls == []
-
-
-def _rows(terms):
-    # Terms in canonical order with each coefficient's exact bits.
-    return [(t, c.hex()) for t, c in sorted(terms.items())]
 
 
 @pytest.mark.parametrize(
