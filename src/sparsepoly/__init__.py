@@ -8,7 +8,9 @@ and random-polynomial examples) is a pure function over those maps.  The
 command-line front end (``sparsepoly.cli``) sits on top of the library
 and nothing in the library imports it.  The whole package is pure
 Python; numpy is loaded only when ``subvec`` or a product that takes
-the multiply kernel's packed path first runs.
+the multiply kernel's packed path first runs: one whose operands both
+have at least 8 terms and whose packed key space is either small next to
+its term pairs or, with at least 512 pairs, fits in 64 bits.
 ``backend_name()`` names the multiply kernel and always returns
 ``"python"``.
 """

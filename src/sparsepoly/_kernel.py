@@ -10,33 +10,46 @@ inner loop, and it has two paths with bitwise-equal coefficients:
 * the packed path (Monagan & Pearce, "Sparse polynomial multiplication
   and division in Maple 14", 2010) encodes each term once as one integer
   in a mixed radix, so the term of a pair is the sum of two integers, and
-  accumulates the pairs into a dense numpy array over the key space.  It
-  runs only where that key space is small next to the pair count, and
-  numpy is imported only when it runs.
+  sums the pairs with numpy in one of two accumulators: a dense array over
+  the key space where that space is small next to the pair count, and
+  otherwise a compact array with one slot per distinct key, found by
+  sorting the keys (the numpy form of Monagan & Pearce's heap merge).
+  numpy is imported only when the packed path runs.
 
-Both add the pairs in the same p-outer, q-inner order and drop exact
-zeros once at the end, so each product term's coefficient is bitwise-equal
-on the two paths.  Where they put the terms differs, and nothing may read
-meaning into it: the dict path stores them in the order of their first
-contribution, the packed path in the order of their packed keys.
-The dict path raises PowerOverflowError exactly when some pair's power
-sum leaves the signed 64-bit range; the packed path only runs on key
-spaces far too small for that.
+``mul_terms`` picks one of three ways by constants alone: the dense
+accumulator up to ``_PACKED_KEYS_PER_PAIR`` keys per term pair, the sort
+accumulator above that while the key space fits in a signed 64-bit
+integer and the product has at least ``_SORTED_MIN_PAIRS`` pairs, and the
+dict path otherwise, including whenever an operand has fewer than
+``_PACKED_MIN_TERMS`` terms.
+
+All of them add the pairs in the same p-outer, q-inner order and drop
+exact zeros once at the end, so each product term's coefficient is
+bitwise-equal on every path.  Where they put the terms differs, and
+nothing may read meaning into it: the dict path stores them in the order
+of their first contribution, both packed accumulators in ascending order
+of their packed keys.  The dict path raises PowerOverflowError exactly
+when some pair's power sum leaves the signed 64-bit range; the packed
+path only runs on key spaces that fit that range, where no power sum can
+leave it.
 
 ``pow_terms`` builds powers from the product by binary squaring.
 """
 
+import math
 import operator
 
 from .core import INT64_MAX, INT64_MIN, PowerOverflowError
 
-# Fewest terms in each operand, and most keys per term pair, for the packed
-# path (see mul_terms).
+# Fewest terms in each operand for the packed path, most keys per term pair
+# for its dense accumulator, and fewest term pairs for its sort accumulator
+# (see mul_terms).
 _PACKED_MIN_TERMS = 8
 _PACKED_KEYS_PER_PAIR = 4
+_SORTED_MIN_PAIRS = 512
 
-# Term pairs per block of the packed accumulator, and terms per chunk of
-# its decoding: they bound the temporary arrays and lists.
+# Term pairs per block of the packed accumulators, and terms per chunk of
+# the decoding: they bound the temporary arrays and lists.
 _PACKED_BLOCK = 1 << 16
 _DECODE_CHUNK = 1 << 12
 
@@ -86,21 +99,32 @@ def mul_terms(p, q):
     # the dict path on CPython 3.11 with numpy 2.4 (one shared core, best of
     # 3-200 runs): 20x on a 1000x1000-term product over 6 symbols (key space
     # 0.53 of the pairs), 3-7x on knight(4)^2 (2.85 keys per pair), 2-9x on
-    # 24-100-term operands over 3 symbols at up to 15 keys per pair.  Where
-    # it breaks even depends on the operands: at 50-400 keys per pair for 3
-    # symbols and 16-48 terms, but already at 2-7 (0.9-1.15x) for one-symbol
-    # operands, whose dict path merges 1-tuples cheaply.  At the 8-term floor
-    # it runs 0.7-0.9x, its fixed cost being about 100 us of numpy calls.
-    # Up to 4 keys per pair it won on every input above the floor except
-    # one-symbol operands of 12-24 terms (0.77-1.1x), and the accumulator
-    # then costs at most 36 bytes per pair.
+    # 24-100-term operands over 3 symbols at up to 15 keys per pair.
+    #
+    # The dense accumulator, up to 4 keys per pair, costs at most 36 bytes
+    # per pair.  At the 8-term floor it runs 0.84-1.01x (8x8 terms over 1-2
+    # symbols), its fixed cost being about 100 us of numpy calls; from 12x12
+    # terms it runs 1.4-1.8x, from 16x16 2-3x (median of 5 random inputs
+    # each, over 1-4 symbols).
+    #
+    # Above 4 keys per pair the sort accumulator pays a few sorts instead,
+    # and fewer pairs share each term, so more terms must be decoded: it
+    # gains less, and later.  Median over 5 random inputs of each shape (8
+    # symbols with powers 1..4 or -4..4, 3 symbols with -30..30, 1 or 2
+    # symbols with powers up to 10^6 or 10^3): 0.7-1.0x at 256 pairs,
+    # 1.0-1.3x at 512, 1.1-1.4x at 768, 1.4-1.5x at 1024, 1.5-1.9x at
+    # 1536-2304; 1.3-3.4x on the 1,000-30,000-pair products of perfbench's
+    # poly_session over 8 symbols.  Its floor is therefore on the pair
+    # count.  Beyond int64 the keys do not fit, and the dict path runs and
+    # raises on the pair that overflows.
     if min(len(p), len(q)) >= _PACKED_MIN_TERMS:
         columns = _columns(p, q)
-        size = 1
-        for _, _, span in columns:
-            size *= span
-        if size <= _PACKED_KEYS_PER_PAIR * len(p) * len(q):
-            return _mul_packed(p, q, columns)
+        size = math.prod([span for _, _, span in columns])
+        pairs = len(p) * len(q)
+        if size <= _PACKED_KEYS_PER_PAIR * pairs:
+            return _mul_packed(p, q, columns, dense=True)
+        if pairs >= _SORTED_MIN_PAIRS and size <= INT64_MAX:
+            return _mul_packed(p, q, columns, dense=False)
     return mul_terms_dict(p, q)
 
 
@@ -166,11 +190,11 @@ def _power_ranges(terms):
     return lo, hi
 
 
-def _mul_packed(p, q, columns):
-    # Precondition, kept by mul_terms: a key space of at most
-    # _PACKED_KEYS_PER_PAIR keys per term pair.  Every column's span, and
-    # with it every power sum and every key, then lies far inside the
-    # signed 64-bit range, and the accumulator costs at most 9 bytes per key.
+def _mul_packed(p, q, columns, dense):
+    # Precondition, kept by mul_terms: a key space of at most INT64_MAX
+    # keys, so every power sum and every key lies in the signed 64-bit
+    # range; with dense, at most _PACKED_KEYS_PER_PAIR keys per term pair,
+    # so the dense accumulator costs at most 9 bytes per key.
     import numpy as np
 
     # A term's key holds each column's power in a mixed radix, biased by
@@ -189,21 +213,13 @@ def _mul_packed(p, q, columns):
     p_coeffs = np.fromiter(p.values(), float, len(p))
     q_coeffs = np.fromiter(q.values(), float, len(q))
 
-    # The dense array is freed on return, before the result dict grows.
-    keys, coeffs = _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix)
+    # The accumulator is freed on return, before the result dict grows.
+    keys, coeffs = _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix if dense else None)
 
-    # Decode each key as a high and a low half, each about the square root
-    # of the key space: each half that occurs is decoded once, into a list
-    # indexed by the half.  map and zip join the halves without a loop in
+    # Each key is decoded as a high and a low half, and each half that
+    # occurs is decoded once.  map and zip join the halves without a loop in
     # Python, which measured about 25% faster on a 92k-term product.
-    cut = len(columns)
-    split = 1
-    while split * split < radix:
-        cut -= 1
-        split *= columns[cut][2]
-    high, low = np.divmod(keys, split)
-    high_terms = _half_terms(high, radix // split, columns[:cut])
-    low_terms = _half_terms(low, split, columns[cut:])
+    high_terms, high, low_terms, low = _halves(keys, radix, columns)
     out = {}
     for i in range(0, len(keys), _DECODE_CHUNK):
         chunk = slice(i, i + _DECODE_CHUNK)
@@ -215,39 +231,108 @@ def _mul_packed(p, q, columns):
 
 def _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix):
     """The keys of the nonzero product terms, in ascending order, and their
-    coefficients."""
+    coefficients.
+
+    With a ``radix``, the pairs sum into a dense array over the key space;
+    without, into a compact array with one slot per distinct key.
+    """
     import numpy as np
 
+    rows = max(1, _PACKED_BLOCK // len(q_keys))
+    blocks = [slice(i, i + rows) for i in range(0, len(p_keys), rows)]
+
+    def pair_keys(block):
+        return (p_keys[block, None] + q_keys).ravel()
+
+    def slots_of(block):
+        distinct, inverse = np.unique(pair_keys(block), return_inverse=True)
+        return np.searchsorted(keys, distinct)[inverse]
+
+    if radix is not None:
+        keys = None
+        slots = map(pair_keys, blocks)  # each key is its own slot
+    elif len(blocks) == 1:
+        keys, inverse = np.unique(pair_keys(blocks[0]), return_inverse=True)
+        slots = [inverse]
+    else:
+        # Every block adds into one array, at each key's slot among the
+        # distinct keys of all blocks: per-block partial sums would round
+        # differently.
+        keys = _distinct(np.concatenate([_distinct(pair_keys(b)) for b in blocks]))
+        slots = map(slots_of, blocks)
+    acc = np.zeros(radix if keys is None else len(keys))
     # ufunc.at adds the pairs of a block one at a time in the order given,
     # p-outer and q-inner as in mul_terms_dict, so each sum rounds exactly
     # as it does there.
-    acc = np.zeros(radix)
-    rows = max(1, _PACKED_BLOCK // len(q_keys))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects inf and nan
-        for i in range(0, len(p_keys), rows):
-            keys = (p_keys[i : i + rows, None] + q_keys).ravel()
-            np.add.at(acc, keys, (p_coeffs[i : i + rows, None] * q_coeffs).ravel())
-    keys = np.flatnonzero(acc)
-    return keys, acc[keys]
+        for block, block_slots in zip(blocks, slots):
+            np.add.at(acc, block_slots, (p_coeffs[block, None] * q_coeffs).ravel())
+    nonzero = np.flatnonzero(acc)
+    return (nonzero if keys is None else keys[nonzero]), acc[nonzero]
+
+
+def _distinct(values):
+    """The distinct values of an array, ascending.
+
+    np.unique without an inverse finds them by hashing, which measured 5-50x
+    slower than this sort on 30k-1M int64 keys.
+    """
+    import numpy as np
+
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _halves(keys, size, columns):
+    """Split packed keys over ``columns`` into a high and a low half at a
+    column boundary, each over about the square root of the key space
+    ``size``: the high half's terms and index, then the low half's."""
+    import numpy as np
+
+    cut = len(columns)
+    split = 1
+    while cut > 1 and split * split < size:
+        cut -= 1
+        split *= columns[cut][2]
+    high, low = np.divmod(keys, split)
+    return _half_terms(high, size // split, columns[:cut]) + _half_terms(low, split, columns[cut:])
 
 
 def _half_terms(halves, size, columns):
-    """List of the terms of the packed halves that occur, indexed by half."""
+    """The terms of the packed halves that occur, and each half's index
+    into them."""
     import numpy as np
 
-    present = np.zeros(size, dtype=bool)
-    present[halves] = True
-    terms = [None] * size
-    for key in np.flatnonzero(present).tolist():
-        pairs = []
-        rest = key
-        for s, low, span in reversed(columns):
-            rest, digit = divmod(rest, span)
-            if digit + low:
-                pairs.append((s, digit + low))
-        pairs.reverse()
-        terms[key] = tuple(pairs)
-    return terms
+    if size <= len(halves):
+        # A list over every half: no sort, and the halves index it as they are.
+        present = np.zeros(size, dtype=bool)
+        present[halves] = True
+        terms = [None] * size
+        for key in np.flatnonzero(present).tolist():
+            terms[key] = _decode(key, columns)
+        return terms, halves
+    # A list over a key space this large next to the halves would cost more
+    # than the product: decode the distinct halves, halved again down to
+    # one column.
+    occurring, index = np.unique(halves, return_inverse=True)
+    if len(columns) == 1:
+        [(s, low, _)] = columns
+        return [((s, k),) if k else () for k in (occurring + low).tolist()], index
+    high_terms, high, low_terms, low = _halves(occurring, size, columns)
+    highs = map(high_terms.__getitem__, high.tolist())
+    lows = map(low_terms.__getitem__, low.tolist())
+    return list(map(operator.add, highs, lows)), index
+
+
+def _decode(key, columns):
+    """The term of a packed key over ``columns``."""
+    pairs = []
+    for s, low, span in reversed(columns):
+        key, digit = divmod(key, span)
+        if digit + low:
+            pairs.append((s, digit + low))
+    pairs.reverse()
+    return tuple(pairs)
 
 
 def backend_name() -> str:
