@@ -191,10 +191,11 @@ def _power_ranges(terms):
 
 
 def _mul_packed(p, q, columns, dense):
-    # Precondition, kept by mul_terms: a key space of at most INT64_MAX
-    # keys, so every power sum and every key lies in the signed 64-bit
-    # range; with dense, at most _PACKED_KEYS_PER_PAIR keys per term pair,
-    # so the dense accumulator costs at most 9 bytes per key.
+    # Precondition, kept by mul_terms: operands with at least one term
+    # each, and a key space of at most INT64_MAX keys, so every power sum
+    # and every key lies in the signed 64-bit range; with dense, at most
+    # _PACKED_KEYS_PER_PAIR keys per term pair, so the dense accumulator
+    # costs at most 9 bytes per key.
     import numpy as np
 
     # A term's key holds each column's power in a mixed radix, biased by
@@ -215,17 +216,21 @@ def _mul_packed(p, q, columns, dense):
 
     # The accumulator is freed on return, before the result dict grows.
     keys, coeffs = _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix if dense else None)
+    if not len(keys):
+        return {}
 
     # Each key is decoded as a high and a low half, and each half that
-    # occurs is decoded once.  map and zip join the halves without a loop in
-    # Python, which measured about 25% faster on a 92k-term product.
-    high_terms, high, low_terms, low = _halves(keys, radix, columns)
+    # occurs is decoded once.  A chunk's halves are split off as the chunk
+    # is decoded, so only the keys and coefficients, 16 bytes per term,
+    # stay alive while the result dict grows.  map and zip join the halves
+    # without a loop in Python, which measured about 25% faster on a
+    # 92k-term product.
+    split, high_terms, low_terms = _halves(keys, radix, columns)
     out = {}
     for i in range(0, len(keys), _DECODE_CHUNK):
         chunk = slice(i, i + _DECODE_CHUNK)
-        highs = map(high_terms.__getitem__, high[chunk].tolist())
-        lows = map(low_terms.__getitem__, low[chunk].tolist())
-        out.update(zip(map(operator.add, highs, lows), coeffs[chunk].tolist()))
+        high, low = np.divmod(keys[chunk], split)
+        out.update(zip(map(operator.add, high_terms(high), low_terms(low)), coeffs[chunk].tolist()))
     return out
 
 
@@ -244,22 +249,19 @@ def _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix):
     def pair_keys(block):
         return (p_keys[block, None] + q_keys).ravel()
 
-    def slots_of(block):
-        distinct, inverse = np.unique(pair_keys(block), return_inverse=True)
-        return np.searchsorted(keys, distinct)[inverse]
-
     if radix is not None:
         keys = None
         slots = map(pair_keys, blocks)  # each key is its own slot
-    elif len(blocks) == 1:
-        keys, inverse = np.unique(pair_keys(blocks[0]), return_inverse=True)
-        slots = [inverse]
     else:
         # Every block adds into one array, at each key's slot among the
         # distinct keys of all blocks: per-block partial sums would round
-        # differently.
+        # differently.  np.unique(return_inverse=True) found the slots of a
+        # lone block faster, 1.8 against 3.0 ms on a 30k-pair product of
+        # perfbench's poly_session, but paged in numpy sort code that
+        # nothing else here runs and raised that workload's peak RSS by a
+        # median 0.26 MB over 6 seeds.
         keys = _distinct(np.concatenate([_distinct(pair_keys(b)) for b in blocks]))
-        slots = map(slots_of, blocks)
+        slots = (np.searchsorted(keys, pair_keys(b)) for b in blocks)
     acc = np.zeros(radix if keys is None else len(keys))
     # ufunc.at adds the pairs of a block one at a time in the order given,
     # p-outer and q-inner as in mul_terms_dict, so each sum rounds exactly
@@ -272,7 +274,7 @@ def _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix):
 
 
 def _distinct(values):
-    """The distinct values of an array, ascending.
+    """The distinct values of a nonempty array, ascending.
 
     np.unique without an inverse finds them by hashing, which measured 5-50x
     slower than this sort on 30k-1M int64 keys.
@@ -284,9 +286,14 @@ def _distinct(values):
 
 
 def _halves(keys, size, columns):
-    """Split packed keys over ``columns`` into a high and a low half at a
-    column boundary, each over about the square root of the key space
-    ``size``: the high half's terms and index, then the low half's."""
+    """Split nonempty packed keys over ``columns`` into a high and a low
+    half at a column boundary, each over about the square root of the key
+    space ``size``.
+
+    Returns the divisor that parts a key into its halves and, for each
+    half, a function from an array of its halves, all among those of
+    ``keys``, to their terms.
+    """
     import numpy as np
 
     cut = len(columns)
@@ -295,12 +302,12 @@ def _halves(keys, size, columns):
         cut -= 1
         split *= columns[cut][2]
     high, low = np.divmod(keys, split)
-    return _half_terms(high, size // split, columns[:cut]) + _half_terms(low, split, columns[cut:])
+    return split, _half_terms(high, size // split, columns[:cut]), _half_terms(low, split, columns[cut:])
 
 
 def _half_terms(halves, size, columns):
-    """The terms of the packed halves that occur, and each half's index
-    into them."""
+    """A function from an array of packed halves over ``columns``, all among
+    the nonempty ``halves``, to their terms; each half is decoded once."""
     import numpy as np
 
     if size <= len(halves):
@@ -310,18 +317,19 @@ def _half_terms(halves, size, columns):
         terms = [None] * size
         for key in np.flatnonzero(present).tolist():
             terms[key] = _decode(key, columns)
-        return terms, halves
+        return lambda chunk: map(terms.__getitem__, chunk.tolist())
     # A list over a key space this large next to the halves would cost more
     # than the product: decode the distinct halves, halved again down to
-    # one column.
-    occurring, index = np.unique(halves, return_inverse=True)
+    # one column, and find a half's slot among them by binary search.
+    occurring = _distinct(halves)
     if len(columns) == 1:
         [(s, low, _)] = columns
-        return [((s, k),) if k else () for k in (occurring + low).tolist()], index
-    high_terms, high, low_terms, low = _halves(occurring, size, columns)
-    highs = map(high_terms.__getitem__, high.tolist())
-    lows = map(low_terms.__getitem__, low.tolist())
-    return list(map(operator.add, highs, lows)), index
+        terms = [((s, k),) if k else () for k in (occurring + low).tolist()]
+    else:
+        split, high_terms, low_terms = _halves(occurring, size, columns)
+        high, low = np.divmod(occurring, split)
+        terms = list(map(operator.add, high_terms(high), low_terms(low)))
+    return lambda chunk: map(terms.__getitem__, np.searchsorted(occurring, chunk).tolist())
 
 
 def _decode(key, columns):

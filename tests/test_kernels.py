@@ -299,6 +299,21 @@ def test_overflow_raised_by_both_paths_alike(p, q, overflows, packed_calls):
     assert packed_calls == ([(len(p), len(q), "sort")] if accumulator else [])
 
 
+def test_a_product_that_underflows_is_empty_on_both_accumulators(packed_calls):
+    # Every pair's coefficient underflows to 0.0, so no term survives and
+    # the packed path has nothing to decode.
+    dense = {(("x", i),): 1e-200 for i in range(_kernel._PACKED_MIN_TERMS)}
+    sparse = {(("x", 1000 * i),): 1e-200 for i in range(_N)}
+    for p, accumulator in ((dense, "dense"), (sparse, "sort")):
+        assert _admitted(p, p) == accumulator
+        assert _kernel.mul_terms_dict(p, p) == {}
+        assert _packed(p, p, accumulator) == {}
+        packed_calls.clear()
+        assert _kernel.mul_terms(p, p) == {}
+        assert packed_calls == [(len(p), len(p), accumulator)]
+    assert _packed(dense, dense, "sort") == {}
+
+
 def test_huge_sparse_key_space_allocates_nothing_of_its_size(packed_calls):
     # x powers near 2^59 and y powers -1..1 make a key space of about
     # 5 * 2^60, whose square root is about 2.4e9: a list or array indexed
