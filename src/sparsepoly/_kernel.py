@@ -256,10 +256,11 @@ def _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix):
         # Every block adds into one array, at each key's slot among the
         # distinct keys of all blocks: per-block partial sums would round
         # differently.  np.unique(return_inverse=True) found the slots of a
-        # lone block faster, 1.8 against 3.0 ms on a 30k-pair product of
-        # perfbench's poly_session, but paged in numpy sort code that
-        # nothing else here runs and raised that workload's peak RSS by a
-        # median 0.26 MB over 6 seeds.
+        # lone block faster: on mul01 of perfbench's poly_session, 30k
+        # pairs, this function took 3.2 ms with it and 5.3 ms without, in
+        # a 34-37 ms product.  But it paged in numpy sort code that nothing
+        # else here runs, and raised that workload's peak RSS by a median
+        # 0.26 MB over 6 seeds.
         keys = _distinct(np.concatenate([_distinct(pair_keys(b)) for b in blocks]))
         slots = (np.searchsorted(keys, pair_keys(b)) for b in blocks)
     acc = np.zeros(radix if keys is None else len(keys))

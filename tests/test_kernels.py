@@ -82,6 +82,10 @@ def _input_pairs():
             p, q = (_laurent_exactly(rng, m, symbols, -top, top) for m in (n, n + 7))
             pairs.append((p, q))
     pairs += [_MANY_BLOCKS, _SPARSE_MANY_BLOCKS]
+    # every pair underflows to 0.0: empty products for both accumulators
+    tiny = {(("x", i),): 1e-200 for i in range(8)}
+    tiny_sparse = {(("x", 1000 * i),): 1e-200 for i in range(24)}
+    pairs += [(tiny, tiny), (tiny_sparse, tiny_sparse)]
     x_plus_1 = {(("x", 1),): 1.0, (): 1.0}
     x_minus_1 = {(("x", 1),): 1.0, (): -1.0}
     k = knight(3)._terms
@@ -297,21 +301,6 @@ def test_overflow_raised_by_both_paths_alike(p, q, overflows, packed_calls):
         else:
             _assert_bitwise_equal(path(p, q), _kernel.mul_terms_dict(p, q))
     assert packed_calls == ([(len(p), len(q), "sort")] if accumulator else [])
-
-
-def test_a_product_that_underflows_is_empty_on_both_accumulators(packed_calls):
-    # Every pair's coefficient underflows to 0.0, so no term survives and
-    # the packed path has nothing to decode.
-    dense = {(("x", i),): 1e-200 for i in range(_kernel._PACKED_MIN_TERMS)}
-    sparse = {(("x", 1000 * i),): 1e-200 for i in range(_N)}
-    for p, accumulator in ((dense, "dense"), (sparse, "sort")):
-        assert _admitted(p, p) == accumulator
-        assert _kernel.mul_terms_dict(p, p) == {}
-        assert _packed(p, p, accumulator) == {}
-        packed_calls.clear()
-        assert _kernel.mul_terms(p, p) == {}
-        assert packed_calls == [(len(p), len(p), accumulator)]
-    assert _packed(dense, dense, "sort") == {}
 
 
 def test_huge_sparse_key_space_allocates_nothing_of_its_size(packed_calls):
