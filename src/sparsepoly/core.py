@@ -35,7 +35,9 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 _DOUBLE_MAX = sys.float_info.max
 
-_SYMBOL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The symbol rule, for names given by value and for the parser's grammar.
+SYMBOL_PATTERN = r"[A-Za-z][A-Za-z0-9_]*"
+_SYMBOL_RE = re.compile(SYMBOL_PATTERN + r"\Z")
 
 
 class PowerOverflowError(OverflowError):
@@ -396,9 +398,13 @@ def from_json(text: str) -> Mvp:
     Raises ValueError on a malformed document: ``terms`` that is not an
     array, a term that is not an object with ``powers`` and ``coeff``,
     ``powers`` that is not an object, a boolean or non-integer power, or a
-    coefficient that is not a number of double range.
+    coefficient that is not a number of double range, and on a document
+    nested too deeply for the decoder.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
     terms = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise ValueError("expected an object with a 'terms' array")

@@ -5,9 +5,11 @@ Grammar (whitespace between factors means multiplication, ``*`` likewise):
     expr    := ws [sign] product (sign product)* ws
     sign    := '+' | '-'
     product := atom (('*' | ws) atom)*
-    atom    := number | symbol ['^' ['-'] integer]
+    atom    := number | symbol ['^' ['-'] digits]
     number  := digits ['.' digits]
     symbol  := [A-Za-z][A-Za-z0-9_]*
+    digits  := [0-9]+
+    ws      := (' ' | '\\t' | '\\r' | '\\n')*
 
 A sign applies to the whole following product.  Repeated symbols inside a
 product multiply (their powers add), numeric factors multiply into the
@@ -19,22 +21,17 @@ Parentheses and ``/`` are not part of the language.
 from __future__ import annotations
 
 import math
+import re
 
-from .core import INT64_MAX, INT64_MIN, Mvp, add_terms
+from .core import INT64_MAX, INT64_MIN, SYMBOL_PATTERN, Mvp, add_terms
 
-_WS = " \t\r\n"
-
-
-def _is_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_name_char(ch: str) -> bool:
-    return _is_letter(ch) or _is_digit(ch) or ch == "_"
+_WS = re.compile(r"[ \t\r\n]*")
+# The fraction's and the exponent's digits may match empty, so that a
+# missing digit is reported at the offset where the digits should start.
+_ATOM = re.compile(
+    r"(?P<number>[0-9]+(?:\.(?P<fraction>[0-9]*))?)"
+    rf"|(?P<symbol>{SYMBOL_PATTERN})(?:\^(?P<sign>-?)(?P<digits>[0-9]*))?"
+)
 
 
 class ParseError(ValueError):
@@ -57,127 +54,72 @@ def parse(text: str) -> Mvp:
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
     n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i] in _WS:
-            i += 1
-        return i
-
-    pos = skip_ws(0)
+    pos = _WS.match(text).end()
     if pos == n:
         raise ParseError(pos, "empty expression")
 
     def signed_terms(pos):
-        sign = 1.0
-        if text[pos] == "+":
-            pos += 1
-        elif text[pos] == "-":
-            sign = -1.0
-            pos += 1
-        while True:
+        # _product stops only at the end of the text or before a sign.
+        while pos < n:
+            sign = -1.0 if text[pos] == "-" else 1.0
+            if text[pos] in "+-":
+                pos += 1
             coeff, powers, pos = _product(text, pos)
             yield tuple(sorted((s, k) for s, k in powers.items() if k != 0)), sign * coeff
-            pos = skip_ws(pos)
-            if pos == n:
-                return
-            ch = text[pos]
-            if ch == "+":
-                sign = 1.0
-            elif ch == "-":
-                sign = -1.0
-            else:
-                raise ParseError(pos, f"unexpected character {ch!r}")
-            pos += 1
 
     return Mvp._from_clean(add_terms({}, signed_terms(pos)))
 
 
 def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
-    n = len(text)
     coeff = 1.0
     powers: dict[str, int] = {}
-
-    while pos < n and text[pos] in _WS:
-        pos += 1
-    if pos == n or not (_is_digit(text[pos]) or _is_letter(text[pos])):
-        raise ParseError(pos, "expected a number or symbol")
+    pos = _WS.match(text, pos).end()
+    # What the error says when no atom starts at pos; None for after ws.
+    expected = "expected a number or symbol"
 
     while True:
-        ch = text[pos]
-        if _is_digit(ch):
-            value, pos = _number(text, pos)
+        atom = _ATOM.match(text, pos)
+        if atom is None:
+            raise ParseError(pos, expected or f"unexpected character {text[pos]!r}")
+        name, digits = atom.group("symbol", "digits")
+        if name is None:
+            if atom["fraction"] == "":
+                raise ParseError(atom.end(), "invalid number: expected digits after '.'")
+            value = float(atom[0])
+            if not math.isfinite(value):
+                raise ParseError(pos, "number too large for a double")
             coeff *= value
         else:
-            start = pos
-            name, k, pos = _factor(text, pos)
+            k = 1
+            if digits is not None:
+                if not digits:
+                    raise ParseError(atom.end(), "invalid exponent: expected digits after '^'")
+                # int() refuses over 4,300 digits; INT64_MIN and INT64_MAX have 19.
+                at, digits = atom.start("sign"), digits.lstrip("0") or "0"
+                if len(digits) > 19:
+                    message = f"exponent of {len(digits)} digits outside the signed 64-bit range"
+                    raise ParseError(at, message)
+                k = int(atom["sign"] + digits)
+                if not INT64_MIN <= k <= INT64_MAX:
+                    raise ParseError(at, f"exponent {k} outside the signed 64-bit range")
             k += powers.get(name, 0)
             if not INT64_MIN <= k <= INT64_MAX:
-                raise ParseError(start, f"power {k} of {name} outside the signed 64-bit range")
+                raise ParseError(pos, f"power {k} of {name} outside the signed 64-bit range")
             powers[name] = k
 
         # What follows an atom decides whether the product continues: '*'
         # or whitespace before another atom means multiplication.
-        had_ws = False
-        while pos < n and text[pos] in _WS:
-            had_ws = True
-            pos += 1
-        if pos == n:
+        end = atom.end()
+        pos = _WS.match(text, end).end()
+        if pos == len(text) or text[pos] in "+-":
             return coeff, powers, pos
-        ch = text[pos]
-        if ch == "*":
-            pos += 1
-            while pos < n and text[pos] in _WS:
-                pos += 1
-            if pos == n or not (_is_digit(text[pos]) or _is_letter(text[pos])):
-                raise ParseError(pos, "expected a factor after '*'")
-            continue
-        if ch in "+-":
-            return coeff, powers, pos
-        if (_is_digit(ch) or _is_letter(ch)) and had_ws:
-            continue
-        raise ParseError(pos, f"unexpected character {ch!r}")
-
-
-def _number(text: str, pos: int) -> tuple[float, int]:
-    n = len(text)
-    start = pos
-    while pos < n and _is_digit(text[pos]):
-        pos += 1
-    if pos < n and text[pos] == ".":
-        pos += 1
-        if pos == n or not _is_digit(text[pos]):
-            raise ParseError(pos, "invalid number: expected digits after '.'")
-        while pos < n and _is_digit(text[pos]):
-            pos += 1
-    value = float(text[start:pos])
-    if not math.isfinite(value):
-        raise ParseError(start, "number too large for a double")
-    return value, pos
-
-
-def _factor(text: str, pos: int) -> tuple[str, int, int]:
-    n = len(text)
-    start = pos
-    pos += 1  # first char already known to be a letter
-    while pos < n and _is_name_char(text[pos]):
-        pos += 1
-    name = text[start:pos]
-
-    if pos < n and text[pos] == "^":
-        pos += 1
-        exp_start = pos
-        if pos < n and text[pos] == "-":
-            pos += 1
-        digits_start = pos
-        while pos < n and _is_digit(text[pos]):
-            pos += 1
-        if pos == digits_start:
-            raise ParseError(pos, "invalid exponent: expected digits after '^'")
-        k = int(text[exp_start:pos])
-        if not INT64_MIN <= k <= INT64_MAX:
-            raise ParseError(exp_start, f"exponent {k} outside the signed 64-bit range")
-        return name, k, pos
-    return name, 1, pos
+        if text[pos] == "*":
+            pos = _WS.match(text, pos + 1).end()
+            expected = "expected a factor after '*'"
+        elif pos > end:
+            expected = None
+        else:
+            raise ParseError(pos, f"unexpected character {text[pos]!r}")
 
 
 def parse_or_lift(value) -> Mvp:

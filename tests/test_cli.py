@@ -348,6 +348,15 @@ def test_parse_error_exit_code(capsys):
     assert "too large" in err
 
 
+def test_deeply_nested_json_line_exit_code(capsys, monkeypatch):
+    nested = '{"terms":' + "[" * 200000 + "]" * 200000 + "}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(nested + "\n"))
+    code, out, err = run(capsys, "eval", "-")
+    assert code == 1
+    assert out == ""
+    assert err == "sparsepoly: JSON document nested too deeply"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

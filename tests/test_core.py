@@ -190,6 +190,7 @@ def test_from_json_rejects_garbage():
         '{"terms":[{"coeff":1.0}]}',
         '{"terms":[{"powers":{"x":1}}]}',
         '{"terms":[{"powers":{"x":"a"},"coeff":1}]}',
+        '{"terms":' + "[" * 200000 + "]" * 200000 + "}",
     ):
         with pytest.raises(ValueError):
             from_json(bad)
