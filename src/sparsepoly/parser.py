@@ -74,7 +74,8 @@ def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
     coeff = 1.0
     powers: dict[str, int] = {}
     pos = _WS.match(text, pos).end()
-    # What the error says when no atom starts at pos; None for after ws.
+    # The error when no atom starts at pos; None after whitespace, where
+    # the character found is the error.
     expected = "expected a number or symbol"
 
     while True:

@@ -160,9 +160,11 @@ def grammar_expressions(draw):
                 text += number
                 coeff *= float(number)
             else:
-                name = draw(strategies.long_names)
-                k = draw(st.integers(-9, 9).filter(lambda k: k != 0))
-                text += f"{name}^{k}" if k != 1 or draw(st.booleans()) else name
+                name, k = draw(strategies.long_names), 1
+                text += name
+                if draw(st.booleans()):
+                    k = draw(st.integers(-9, 9).filter(lambda k: k != 0))
+                    text += f"^{k}"
                 powers.append((name, k))
         return text, coeff, powers
 
