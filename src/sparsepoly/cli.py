@@ -64,12 +64,16 @@ def _number_list(text: str) -> list[float]:
 
 
 def _polys(expr_arg: str) -> list[Mvp]:
-    """The inline expression, or with ``-`` every nonblank stdin line."""
+    """The inline expression, or with ``-`` every nonblank stdin line.
+
+    Only the grammar's whitespace (space, tab, CR, LF) is stripped, so a
+    line reads as it would as an argument.
+    """
     if expr_arg != "-":
         return [parse(expr_arg)]
     out = []
     for line in sys.stdin:
-        line = line.strip()
+        line = line.strip(" \t\r\n")
         if line:
             out.append(from_json(line) if line.startswith("{") else parse(line))
     return out
@@ -255,7 +259,8 @@ def _run(args) -> list[str]:
 
     if cmd == "rmvp":
         alphabet: object = args.alphabet
-        if isinstance(alphabet, str) and alphabet.isdigit():
+        # A pool size is ASCII digits; anything else is a list of names.
+        if isinstance(alphabet, str) and alphabet.isascii() and alphabet.isdigit():
             alphabet = int(alphabet)
         elif isinstance(alphabet, str):
             alphabet = [s for s in alphabet.split(",") if s]

@@ -24,7 +24,7 @@ import math
 import operator
 import re
 import sys
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 Symbol = str
 
@@ -38,6 +38,12 @@ _DOUBLE_MAX = sys.float_info.max
 # The symbol rule, for names given by value and for the parser's grammar.
 SYMBOL_PATTERN = r"[A-Za-z][A-Za-z0-9_]*"
 _SYMBOL_RE = re.compile(SYMBOL_PATTERN + r"\Z")
+
+# Names (exact str only) that passed require_symbol, so normalize_term runs
+# the regex once per distinct name.  Emptied when full; never holds a name
+# that failed.
+_VALID_NAMES: set = set()
+_VALID_NAMES_MAX = 4096
 
 
 class PowerOverflowError(OverflowError):
@@ -76,15 +82,42 @@ def normalize_term(raw_pairs) -> Term:
     zero are dropped: ``[("x", 1), ("x", 1)]`` gives ``(("x", 2),)`` and
     ``[("y", 0)]`` contributes nothing.  An empty input is the constant
     term.  Accepts a mapping or any iterable of pairs.
+
+    Checks, in this order per pair: the name with ``require_symbol``
+    (ValueError; each distinct valid name of type ``str`` is checked once
+    and remembered), then the power with ``operator.index`` (TypeError),
+    unless it is an exact ``int``.  Then every summed power against the
+    signed 64-bit range (PowerOverflowError, naming the first one out of
+    range in the order the symbols first came).  The memo and the fast
+    paths change no result and no error.
     """
     if isinstance(raw_pairs, Mapping):
         raw_pairs = raw_pairs.items()
     acc: dict[str, int] = {}
+    get = acc.get
     for name, k in raw_pairs:
-        require_symbol(name)
-        k = operator.index(k)
-        acc[name] = acc.get(name, 0) + k
-    return tuple(sorted((s, check_power(k)) for s, k in acc.items() if k != 0))
+        if type(name) is not str or name not in _VALID_NAMES:
+            require_symbol(name)
+            if type(name) is str:
+                if len(_VALID_NAMES) >= _VALID_NAMES_MAX:
+                    _VALID_NAMES.clear()
+                _VALID_NAMES.add(name)
+        if type(k) is not int:
+            k = operator.index(k)
+        acc[name] = get(name, 0) + k
+    powers = acc.values()
+    if acc and (min(powers) < INT64_MIN or max(powers) > INT64_MAX):
+        for k in powers:
+            check_power(k)
+    return term_of(acc)
+
+
+def term_of(powers: dict) -> Term:
+    """The term of a {symbol: summed power} map: symbols sorted, zero
+    powers dropped.  Names and ranges are the caller's to check."""
+    if 0 in powers.values():
+        return tuple(sorted(pair for pair in powers.items() if pair[1] != 0))
+    return tuple(sorted(powers.items()))
 
 
 def total_degree(t: Term) -> int:
@@ -383,13 +416,21 @@ def canonical_json(p: Mvp) -> str:
     ``{"terms":[{"powers":{"x":2,"y":3},"coeff":-3.0}, ...]}`` with terms
     and symbols in canonical order; the byte-exact contract used by golden
     tests and as the provenance-hash preimage.
+
+    The bytes are written directly and equal ``json.dumps(doc,
+    separators=(",", ":"))`` of that document: a power is written as
+    ``%d`` and a coefficient by ``float.__repr__``, which is what
+    ``json.dumps`` writes for a finite float (subclasses included).
+    Stored symbols match the symbol rule, so none needs escaping.
     """
-    doc = {
-        "terms": [
-            {"powers": {s: k for s, k in t}, "coeff": c} for t, c in p.terms()
+    term_json = '{"powers":{%s},"coeff":%s}'
+    rep = float.__repr__
+    return '{"terms":[%s]}' % ",".join(
+        [
+            term_json % (",".join(['"%s":%d' % pair for pair in t]), rep(c))
+            for t, c in p.terms()
         ]
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    )
 
 
 def from_json(text: str) -> Mvp:
@@ -419,12 +460,13 @@ def from_json(text: str) -> Mvp:
         is_number = isinstance(coeff, (int, float)) and not isinstance(coeff, bool)
         if not is_number or not -_DOUBLE_MAX <= coeff <= _DOUBLE_MAX:
             raise ValueError(f"coefficient must be a finite number, got {coeff!r}")
-        norm = {}
+        # An integral float power becomes an int in place; replacing a
+        # value does not disturb the iteration.
         for s, k in powers.items():
-            if isinstance(k, float) and k.is_integer():
-                k = int(k)
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
-            norm[s] = k
-        pairs.append((norm, float(coeff)))
+            if type(k) is not int:
+                if isinstance(k, float) and k.is_integer():
+                    k = powers[s] = int(k)
+                if isinstance(k, bool) or not isinstance(k, int):
+                    raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
+        pairs.append((powers, float(coeff)))
     return Mvp(pairs)

@@ -23,14 +23,27 @@ from __future__ import annotations
 import math
 import re
 
-from .core import INT64_MAX, INT64_MIN, SYMBOL_PATTERN, Mvp, add_terms
+from .core import INT64_MAX, INT64_MIN, SYMBOL_PATTERN, Mvp, add_terms, term_of
 
 _WS = re.compile(r"[ \t\r\n]*")
+# A sign, or an atom: a number, or a symbol with an optional exponent.
 # The fraction's and the exponent's digits may match empty, so that a
 # missing digit is reported at the offset where the digits should start.
-_ATOM = re.compile(
-    r"(?P<number>[0-9]+(?:\.(?P<fraction>[0-9]*))?)"
+_TOKEN = re.compile(
+    r"(?P<op>[+-])"
+    r"|(?P<number>[0-9]+(?:\.(?P<fraction>[0-9]*))?)"
     rf"|(?P<symbol>{SYMBOL_PATTERN})(?:\^(?P<sign>-?)(?P<digits>[0-9]*))?"
+)
+
+# The whole grammar, to accept a valid text in one match: atoms joined by
+# '*', a sign or whitespace.  Every repeat is possessive and the atom
+# atomic, so a long text leaves no backtracking state behind (plain nested
+# repeats keep an entry per atom: megabytes on a 2,000-term text).
+_WS_RUN = r"[ \t\r\n]*+"
+_ATOM_RE = rf"(?>[0-9]+(?:\.[0-9]+)?|{SYMBOL_PATTERN}(?:\^-?[0-9]+)?)"
+_GRAMMAR = re.compile(
+    rf"{_WS_RUN}(?:[+-]{_WS_RUN})?+{_ATOM_RE}"
+    rf"(?:(?:{_WS_RUN}[*+-]{_WS_RUN}|[ \t\r\n]++){_ATOM_RE})*+{_WS_RUN}"
 )
 
 
@@ -50,9 +63,21 @@ def parse(text: str) -> Mvp:
     exponents, powers outside the signed 64-bit range (also when a repeated
     symbol's powers sum out of it), numbers too large for a double, and
     characters outside the grammar.
+
+    A text that the whole grammar matches is read in one pass over its
+    tokens, which checks each exponent and each summed power against the
+    signed 64-bit range and each product's coefficient (so also each
+    number) for a finite value.  Any other text, or one that fails a check,
+    is read atom by atom by ``_product``, which reports the error and its
+    offset; so results, errors and offsets are the same either way.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
+    if _GRAMMAR.fullmatch(text):
+        try:
+            return Mvp._from_clean(add_terms({}, _valid_terms(text)))
+        except _OutOfRange:
+            pass
     n = len(text)
     pos = _WS.match(text).end()
     if pos == n:
@@ -65,9 +90,51 @@ def parse(text: str) -> Mvp:
             if text[pos] in "+-":
                 pos += 1
             coeff, powers, pos = _product(text, pos)
-            yield tuple(sorted((s, k) for s, k in powers.items() if k != 0)), sign * coeff
+            yield term_of(powers), sign * coeff
 
     return Mvp._from_clean(add_terms({}, signed_terms(pos)))
+
+
+class _OutOfRange(Exception):
+    """A value that ``_product`` must report; raised by ``_valid_terms``."""
+
+
+def _valid_terms(text: str):
+    """The signed terms of a text that ``_GRAMMAR`` matched, computed as
+    ``_product`` computes them; raises _OutOfRange on the first value out
+    of range."""
+    pos = _WS.match(text).end()
+    sign = -1.0 if text[pos] == "-" else 1.0
+    if text[pos] in "+-":
+        pos += 1
+    coeff, powers = 1.0, {}
+    # Whitespace and '*' fall between the tokens; a sign ends a product.
+    for op, number, _, name, minus, digits in map(re.Match.groups, _TOKEN.finditer(text, pos)):
+        if name:
+            k = 1
+            if digits:
+                # 19 digits bound int64; longer ones (zero-padded) are rare.
+                if len(digits) > 19:
+                    raise _OutOfRange
+                k = int(minus + digits)
+                if not INT64_MIN <= k <= INT64_MAX:
+                    raise _OutOfRange
+            k += powers.get(name, 0)
+            if not INT64_MIN <= k <= INT64_MAX:
+                raise _OutOfRange
+            powers[name] = k
+        elif number:
+            # A number too large for a double leaves the coefficient inf
+            # or NaN, which the check at the end of the product finds.
+            coeff *= float(number)
+        else:
+            if not math.isfinite(coeff):
+                raise _OutOfRange
+            yield term_of(powers), sign * coeff
+            sign, coeff, powers = -1.0 if op == "-" else 1.0, 1.0, {}
+    if not math.isfinite(coeff):
+        raise _OutOfRange
+    yield term_of(powers), sign * coeff
 
 
 def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
@@ -79,8 +146,8 @@ def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
     expected = "expected a number or symbol"
 
     while True:
-        atom = _ATOM.match(text, pos)
-        if atom is None:
+        atom = _TOKEN.match(text, pos)
+        if atom is None or atom["op"]:
             raise ParseError(pos, expected or f"unexpected character {text[pos]!r}")
         name, digits = atom.group("symbol", "digits")
         if name is None:

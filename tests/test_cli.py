@@ -78,6 +78,19 @@ def test_eval_stdin_lines(capsys, monkeypatch):
     assert out == "a + b\n6 x"
 
 
+def test_stdin_lines_lose_only_grammar_whitespace(capsys, monkeypatch):
+    # U+00A0 is Unicode whitespace that the grammar rejects: a line with it
+    # fails on stdin as it does as an argument.
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\u00a0\n"))
+    code, out, err = run(capsys, "eval", "-")
+    assert code == 1
+    assert out == ""
+    assert err == "sparsepoly: unexpected character '\\xa0' (at offset 1)"
+    assert run(capsys, "eval", "x\u00a0")[:2] == (1, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(" \tx \r\n\n\t\n"))
+    assert run(capsys, "eval", "-")[:2] == (0, "x")
+
+
 def test_subs_scalar_output(capsys):
     code, out, _ = run(capsys, "subs", "x + 5 x^4 y + 8 y^2 x z^3", "x=1", "y=2", "z=3")
     assert code == 0
@@ -304,6 +317,15 @@ def test_rmvp_rejects_invalid_alphabet_names(capsys):
     assert code == 1
     assert out == ""
     assert "invalid symbol name" in err
+
+
+@pytest.mark.parametrize("alphabet", ["\u0663", "\u00b2"], ids=["arabic-indic-3", "superscript-2"])
+def test_rmvp_pool_size_is_ascii_digits_only(capsys, alphabet):
+    # str.isdigit() accepts these; as an alphabet they are invalid names.
+    code, out, err = run(capsys, "rmvp", "3", "1", "1", alphabet, "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"sparsepoly: invalid symbol name: {alphabet!r}"
 
 
 def test_coefficient_overflow_exit_code(capsys, monkeypatch):

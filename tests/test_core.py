@@ -1,9 +1,11 @@
 """Core data model: normalization, accumulate, constant, equality, JSON."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import strategies
 from sparsepoly import (
@@ -20,7 +22,8 @@ from sparsepoly import (
     subvec,
     validate,
 )
-from sparsepoly.core import add_terms
+from sparsepoly import core
+from sparsepoly.core import INT64_MAX, INT64_MIN, add_terms
 
 
 def test_normalize_drops_zero_power():
@@ -60,6 +63,35 @@ def test_normalize_power_overflow():
         normalize_term([("x", 2**63)])
     with pytest.raises(PowerOverflowError):
         normalize_term([("x", 2**62), ("x", 2**62)])
+    # The first summed power out of range, in the order symbols first came.
+    with pytest.raises(PowerOverflowError, match="power 9223372036854775808 "):
+        normalize_term([("y", 2**63), ("x", -(2**63) - 1)])
+    assert normalize_term([("x", INT64_MIN), ("y", INT64_MAX)]) == (
+        ("x", INT64_MIN),
+        ("y", INT64_MAX),
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["1x", "", "x y", "\u00e9", 3, None, ["x"], b"x"],
+    ids=["digit-first", "empty", "space", "e-acute", "int", "None", "list", "bytes"],
+)
+def test_normalize_never_remembers_an_invalid_name(name):
+    # Checked on every use, whatever came before; a non-str name, even an
+    # unhashable one, is a ValueError.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid symbol name"):
+            normalize_term([("x", 1), (name, 1)])
+    assert all(type(s) is str and core._SYMBOL_RE.match(s) for s in core._VALID_NAMES)
+
+
+def test_normalize_name_memo_is_bounded():
+    names = [f"n{i}" for i in range(core._VALID_NAMES_MAX + 10)]
+    for s in names:
+        assert normalize_term([(s, 1)]) == ((s, 1),)
+    assert len(core._VALID_NAMES) <= core._VALID_NAMES_MAX
+    assert normalize_term([(names[0], 2), ("x", True)]) == ((names[0], 2), ("x", 1))
 
 
 def test_accumulate_into_zero():
@@ -167,6 +199,42 @@ def test_json_golden():
         canonical_json(p)
         == '{"terms":[{"powers":{},"coeff":2.0},{"powers":{"x":2,"y":3},"coeff":-3.0}]}'
     )
+
+
+def _json_dumps_form(p):
+    doc = {"terms": [{"powers": dict(t), "coeff": c} for t, c in p.terms()]}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+_float_mvps = st.dictionaries(
+    strategies.terms,
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+    max_size=6,
+).map(Mvp)
+
+
+@given(st.one_of(strategies.mvps, _float_mvps))
+def test_canonical_json_is_json_dumps_compact_form(p):
+    assert canonical_json(p) == _json_dumps_form(p)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [5e-324, -1e300, 0.1, 1e16, 1e22, float(2**53), -(2.0**-1074) * 3, 1.7976931348623157e308],
+)
+@pytest.mark.parametrize(
+    "term", [(), (("x", INT64_MAX),), (("a", INT64_MIN), ("b", 1))], ids=["constant", "max", "min"]
+)
+def test_canonical_json_fixed_values(term, coeff):
+    p = Mvp([(term, coeff), ({"zz": -1}, 1.0)])
+    assert canonical_json(p) == _json_dumps_form(p)
+    assert from_json(canonical_json(p)) == p
+
+
+def test_canonical_json_of_zero_and_a_constant():
+    assert canonical_json(Mvp()) == _json_dumps_form(Mvp()) == '{"terms":[]}'
+    p = Mvp.from_number(-2.5)
+    assert canonical_json(p) == _json_dumps_form(p) == '{"terms":[{"powers":{},"coeff":-2.5}]}'
 
 
 @given(strategies.mvps)

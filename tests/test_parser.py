@@ -1,5 +1,7 @@
 """Parser: grammar fixtures, error reporting, totality, round-trips."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +94,11 @@ _ERRORS = [
     ("2.5.3", 3, "unexpected character '.'"),
     ("3 x *", 5, "expected a factor after '*'"),
     ("x^9223372036854775808", 2, "exponent 9223372036854775808 outside the signed 64-bit range"),
+    # The exponent is out of range although the summed power is not.
+    ("x^9223372036854775808 x^-1", 2, "exponent 9223372036854775808 outside the signed 64-bit range"),
+    ("x^-9223372036854775809 x", 2, "exponent -9223372036854775809 outside the signed 64-bit range"),
+    ("x^-1 x^9223372036854775808", 7, "exponent 9223372036854775808 outside the signed 64-bit range"),
+    ("x x^-9223372036854775809", 4, "exponent -9223372036854775809 outside the signed 64-bit range"),
 ]
 
 
@@ -113,6 +120,7 @@ def test_very_long_exponents():
     assert exc.value.position == 2
     assert exc.value.message == "exponent of 5000 digits outside the signed 64-bit range"
     assert parse("x^-" + "0" * 5000 + "1") == parse("x^-1")
+    assert parse("x^" + "0" * 25 + "1") == parse("x")
 
 
 @pytest.mark.parametrize(
@@ -125,6 +133,24 @@ def test_repeated_symbol_power_sum_out_of_range_rejected(text, position):
         parse(text)
     assert exc.value.position == position
     assert "64-bit" in exc.value.message
+
+
+def test_long_valid_text_leaves_no_backtracking_state():
+    # A valid text is matched by one grammar regex whose repeats are
+    # possessive; plain repeats peak at over 1 MB here, for a result of
+    # about 0.33 MB.
+    text = " + ".join(
+        f"{i % 9 + 1} a^{i % 7 + 1} b^{i // 7 % 5 + 1}*c^{i // 35 + 1}" for i in range(2000)
+    )
+    parse(text)
+    tracemalloc.start()
+    try:
+        p = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 2000
+    assert peak < 2**19
 
 
 @pytest.mark.parametrize(
