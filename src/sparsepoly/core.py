@@ -51,10 +51,15 @@ class PowerOverflowError(OverflowError):
 
 
 def require_symbol(name: str) -> str:
-    """Validate a symbol name against ``[A-Za-z][A-Za-z0-9_]*``."""
+    """Validate a symbol name against ``[A-Za-z][A-Za-z0-9_]*``.
+
+    Returns the name as an exact ``str``: a subclass instance becomes a
+    plain copy of its characters, so its own ``__str__`` never writes a
+    stored symbol.
+    """
     if not isinstance(name, str) or not _SYMBOL_RE.match(name):
         raise ValueError(f"invalid symbol name: {name!r}")
-    return name
+    return name if type(name) is str else str.__str__(name)
 
 
 def check_finite(terms: dict) -> dict:
@@ -85,11 +90,12 @@ def normalize_term(raw_pairs) -> Term:
 
     Checks, in this order per pair: the name with ``require_symbol``
     (ValueError; each distinct valid name of type ``str`` is checked once
-    and remembered), then the power with ``operator.index`` (TypeError),
-    unless it is an exact ``int``.  Then every summed power against the
-    signed 64-bit range (PowerOverflowError, naming the first one out of
-    range in the order the symbols first came).  The memo and the fast
-    paths change no result and no error.
+    and remembered, and a ``str`` subclass is stored as a plain copy),
+    then the power with ``operator.index`` (TypeError), unless it is an
+    exact ``int``.  Then every summed power against the signed 64-bit
+    range (PowerOverflowError, naming the first one out of range in the
+    order the symbols first came).  The memo and the fast paths change no
+    result and no error.
     """
     if isinstance(raw_pairs, Mapping):
         raw_pairs = raw_pairs.items()
@@ -97,11 +103,10 @@ def normalize_term(raw_pairs) -> Term:
     get = acc.get
     for name, k in raw_pairs:
         if type(name) is not str or name not in _VALID_NAMES:
-            require_symbol(name)
-            if type(name) is str:
-                if len(_VALID_NAMES) >= _VALID_NAMES_MAX:
-                    _VALID_NAMES.clear()
-                _VALID_NAMES.add(name)
+            name = require_symbol(name)
+            if len(_VALID_NAMES) >= _VALID_NAMES_MAX:
+                _VALID_NAMES.clear()
+            _VALID_NAMES.add(name)
         if type(k) is not int:
             k = operator.index(k)
         acc[name] = get(name, 0) + k
@@ -421,7 +426,9 @@ def canonical_json(p: Mvp) -> str:
     separators=(",", ":"))`` of that document: a power is written as
     ``%d`` and a coefficient by ``float.__repr__``, which is what
     ``json.dumps`` writes for a finite float (subclasses included).
-    Stored symbols match the symbol rule, so none needs escaping.
+    Stored symbols are exact ``str`` (``require_symbol`` copies a
+    subclass) that match the symbol rule, so ``%s`` writes their
+    characters and none needs escaping.
     """
     term_json = '{"powers":{%s},"coeff":%s}'
     rep = float.__repr__

@@ -20,30 +20,26 @@ Parentheses and ``/`` are not part of the language.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
 from .core import INT64_MAX, INT64_MIN, SYMBOL_PATTERN, Mvp, add_terms, term_of
 
-_WS = re.compile(r"[ \t\r\n]*")
-# A sign, or an atom: a number, or a symbol with an optional exponent.
-# The fraction's and the exponent's digits may match empty, so that a
-# missing digit is reported at the offset where the digits should start.
-_TOKEN = re.compile(
-    r"(?P<op>[+-])"
+# One step through the text: the separator before a sign or an atom (a
+# number, or a symbol with an optional exponent), then that sign or atom,
+# or the end of the text.  Every part may match empty, so a step matches
+# at any offset and each step starts where the one before it ended; a
+# step with neither sign, atom nor end finds an error.  The fraction's and
+# the exponent's digits may match empty, so that a missing digit is
+# reported at the offset where the digits should start.  No repeat spans
+# more than one step, so a long text leaves no backtracking state.
+_STEP = re.compile(
+    r"(?P<sep>[ \t\r\n]*(?:\*[ \t\r\n]*)?)"
+    r"(?:(?P<op>[+-])"
     r"|(?P<number>[0-9]+(?:\.(?P<fraction>[0-9]*))?)"
     rf"|(?P<symbol>{SYMBOL_PATTERN})(?:\^(?P<sign>-?)(?P<digits>[0-9]*))?"
-)
-
-# The whole grammar, to accept a valid text in one match: atoms joined by
-# '*', a sign or whitespace.  Every repeat is possessive and the atom
-# atomic, so a long text leaves no backtracking state behind (plain nested
-# repeats keep an entry per atom: megabytes on a 2,000-term text).
-_WS_RUN = r"[ \t\r\n]*+"
-_ATOM_RE = rf"(?>[0-9]+(?:\.[0-9]+)?|{SYMBOL_PATTERN}(?:\^-?[0-9]+)?)"
-_GRAMMAR = re.compile(
-    rf"{_WS_RUN}(?:[+-]{_WS_RUN})?+{_ATOM_RE}"
-    rf"(?:(?:{_WS_RUN}[*+-]{_WS_RUN}|[ \t\r\n]++){_ATOM_RE})*+{_WS_RUN}"
+    r"|(?P<end>\Z))?"
 )
 
 
@@ -64,130 +60,86 @@ def parse(text: str) -> Mvp:
     symbol's powers sum out of it), numbers too large for a double, and
     characters outside the grammar.
 
-    A text that the whole grammar matches is read in one pass over its
-    tokens, which checks each exponent and each summed power against the
-    signed 64-bit range and each product's coefficient (so also each
-    number) for a finite value.  Any other text, or one that fails a check,
-    is read atom by atom by ``_product``, which reports the error and its
-    offset; so results, errors and offsets are the same either way.
+    The text is read in one pass of ``_STEP`` matches, each a separator and
+    the sign or atom after it.  Each step checks the separator against
+    what came before, each number for a finite double, each exponent and
+    each summed power against the signed 64-bit range; the first failing
+    check raises, with the offset and message of the grammar position it
+    failed at (the step's offsets are looked up only then).
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
-    if _GRAMMAR.fullmatch(text):
-        try:
-            return Mvp._from_clean(add_terms({}, _valid_terms(text)))
-        except _OutOfRange:
-            pass
-    n = len(text)
-    pos = _WS.match(text).end()
-    if pos == n:
-        raise ParseError(pos, "empty expression")
-
-    def signed_terms(pos):
-        # _product stops only at the end of the text or before a sign.
-        while pos < n:
-            sign = -1.0 if text[pos] == "-" else 1.0
-            if text[pos] in "+-":
-                pos += 1
-            coeff, powers, pos = _product(text, pos)
-            yield term_of(powers), sign * coeff
-
-    return Mvp._from_clean(add_terms({}, signed_terms(pos)))
+    return Mvp._from_clean(add_terms({}, _signed_terms(text)))
 
 
-class _OutOfRange(Exception):
-    """A value that ``_product`` must report; raised by ``_valid_terms``."""
-
-
-def _valid_terms(text: str):
-    """The signed terms of a text that ``_GRAMMAR`` matched, computed as
-    ``_product`` computes them; raises _OutOfRange on the first value out
-    of range."""
-    pos = _WS.match(text).end()
-    sign = -1.0 if text[pos] == "-" else 1.0
-    if text[pos] in "+-":
-        pos += 1
-    coeff, powers = 1.0, {}
-    # Whitespace and '*' fall between the tokens; a sign ends a product.
-    for op, number, _, name, minus, digits in map(re.Match.groups, _TOKEN.finditer(text, pos)):
-        if name:
-            k = 1
-            if digits:
-                # 19 digits bound int64; longer ones (zero-padded) are rare.
-                if len(digits) > 19:
-                    raise _OutOfRange
-                k = int(minus + digits)
-                if not INT64_MIN <= k <= INT64_MAX:
-                    raise _OutOfRange
-            k += powers.get(name, 0)
-            if not INT64_MIN <= k <= INT64_MAX:
-                raise _OutOfRange
-            powers[name] = k
-        elif number:
-            # A number too large for a double leaves the coefficient inf
-            # or NaN, which the check at the end of the product finds.
-            coeff *= float(number)
-        else:
-            if not math.isfinite(coeff):
-                raise _OutOfRange
-            yield term_of(powers), sign * coeff
-            sign, coeff, powers = -1.0 if op == "-" else 1.0, 1.0, {}
-    if not math.isfinite(coeff):
-        raise _OutOfRange
-    yield term_of(powers), sign * coeff
-
-
-def _product(text: str, pos: int) -> tuple[float, dict[str, int], int]:
-    coeff = 1.0
-    powers: dict[str, int] = {}
-    pos = _WS.match(text, pos).end()
-    # The error when no atom starts at pos; None after whitespace, where
-    # the character found is the error.
-    expected = "expected a number or symbol"
-
-    while True:
-        atom = _TOKEN.match(text, pos)
-        if atom is None or atom["op"]:
-            raise ParseError(pos, expected or f"unexpected character {text[pos]!r}")
-        name, digits = atom.group("symbol", "digits")
+def _signed_terms(text: str):
+    """The (term, signed coefficient) pair of each product of ``text``."""
+    sign, coeff, powers = 1.0, 1.0, {}
+    # Before the first step a sign may come; after a sign an atom must;
+    # after an atom, a separator and an atom continue the product, and a
+    # sign or the end of the text closes it.
+    after_atom = False
+    steps = map(re.Match.groups, _STEP.finditer(text))
+    for i, (sep, op, number, fraction, name, minus, digits, end) in enumerate(steps):
+        if not after_atom and "*" in sep:
+            at = _step(text, i).start() + sep.index("*")
+            raise ParseError(at, "expected a number or symbol")
+        if name is None and number is None:
+            star = "*" in sep
+            if op and not star and (after_atom or i == 0):
+                if after_atom:
+                    yield term_of(powers), sign * coeff
+                    coeff, powers, after_atom = 1.0, {}, False
+                sign = -1.0 if op == "-" else 1.0
+                continue
+            if end is not None and after_atom and not star:
+                yield term_of(powers), sign * coeff
+                return
+            at = _step(text, i).end() - bool(op)
+            if i == 0 and end is not None:
+                raise ParseError(at, "empty expression")
+            if star:
+                raise ParseError(at, "expected a factor after '*'")
+            if not after_atom:
+                raise ParseError(at, "expected a number or symbol")
+            raise ParseError(at, f"unexpected character {text[at]!r}")
+        if after_atom and not sep:
+            at = _step(text, i).start()
+            raise ParseError(at, f"unexpected character {text[at]!r}")
+        after_atom = True
         if name is None:
-            if atom["fraction"] == "":
-                raise ParseError(atom.end(), "invalid number: expected digits after '.'")
-            value = float(atom[0])
+            if fraction == "":
+                raise ParseError(_step(text, i).end(), "invalid number: expected digits after '.'")
+            value = float(number)
             if not math.isfinite(value):
-                raise ParseError(pos, "number too large for a double")
+                raise ParseError(_step(text, i).start("number"), "number too large for a double")
             coeff *= value
-        else:
-            k = 1
-            if digits is not None:
-                if not digits:
-                    raise ParseError(atom.end(), "invalid exponent: expected digits after '^'")
-                # int() refuses over 4,300 digits; INT64_MIN and INT64_MAX have 19.
-                at, digits = atom.start("sign"), digits.lstrip("0") or "0"
+            continue
+        k = 1
+        if digits is not None:
+            if not digits:
+                message = "invalid exponent: expected digits after '^'"
+                raise ParseError(_step(text, i).end(), message)
+            # int() refuses over 4,300 digits; INT64_MIN and INT64_MAX have 19.
+            if len(digits) > 19:
+                digits = digits.lstrip("0") or "0"
                 if len(digits) > 19:
                     message = f"exponent of {len(digits)} digits outside the signed 64-bit range"
-                    raise ParseError(at, message)
-                k = int(atom["sign"] + digits)
-                if not INT64_MIN <= k <= INT64_MAX:
-                    raise ParseError(at, f"exponent {k} outside the signed 64-bit range")
-            k += powers.get(name, 0)
+                    raise ParseError(_step(text, i).start("sign"), message)
+            k = int(minus + digits)
             if not INT64_MIN <= k <= INT64_MAX:
-                raise ParseError(pos, f"power {k} of {name} outside the signed 64-bit range")
-            powers[name] = k
+                message = f"exponent {k} outside the signed 64-bit range"
+                raise ParseError(_step(text, i).start("sign"), message)
+        k += powers.get(name, 0)
+        if not INT64_MIN <= k <= INT64_MAX:
+            message = f"power {k} of {name} outside the signed 64-bit range"
+            raise ParseError(_step(text, i).start("symbol"), message)
+        powers[name] = k
 
-        # What follows an atom decides whether the product continues: '*'
-        # or whitespace before another atom means multiplication.
-        end = atom.end()
-        pos = _WS.match(text, end).end()
-        if pos == len(text) or text[pos] in "+-":
-            return coeff, powers, pos
-        if text[pos] == "*":
-            pos = _WS.match(text, pos + 1).end()
-            expected = "expected a factor after '*'"
-        elif pos > end:
-            expected = None
-        else:
-            raise ParseError(pos, f"unexpected character {text[pos]!r}")
+
+def _step(text: str, i: int) -> re.Match:
+    """The match of the ``i``-th step through ``text``, to place an error."""
+    return next(itertools.islice(_STEP.finditer(text), i, None))
 
 
 def parse_or_lift(value) -> Mvp:

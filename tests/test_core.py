@@ -231,6 +231,20 @@ def test_canonical_json_fixed_values(term, coeff):
     assert from_json(canonical_json(p)) == p
 
 
+class _LoudName(str):
+    def __str__(self):
+        return 'not "x"'
+
+    __format__ = __repr__ = __str__
+
+
+def test_canonical_json_writes_a_str_subclass_name_as_its_characters():
+    for p in (Mvp([({_LoudName("x"): 2}, 1.5)]), Mvp({((_LoudName("x"), 2),): 1.5})):
+        expected = '{"terms":[{"powers":{"x":2},"coeff":1.5}]}'
+        assert canonical_json(p) == _json_dumps_form(p) == expected
+        assert all(type(s) is str for t in p.terms() for s, _ in t[0])
+
+
 def test_canonical_json_of_zero_and_a_constant():
     assert canonical_json(Mvp()) == _json_dumps_form(Mvp()) == '{"terms":[]}'
     p = Mvp.from_number(-2.5)

@@ -136,9 +136,9 @@ def test_repeated_symbol_power_sum_out_of_range_rejected(text, position):
 
 
 def test_long_valid_text_leaves_no_backtracking_state():
-    # A valid text is matched by one grammar regex whose repeats are
-    # possessive; plain repeats peak at over 1 MB here, for a result of
-    # about 0.33 MB.
+    # The text is read one step at a time, so parsing holds nothing per
+    # atom beyond the result (about 0.33 MB); one regex over the whole
+    # grammar with plain nested repeats peaks at over 1 MB here.
     text = " + ".join(
         f"{i % 9 + 1} a^{i % 7 + 1} b^{i // 7 % 5 + 1}*c^{i // 35 + 1}" for i in range(2000)
     )
