@@ -13,6 +13,15 @@ have at least 8 terms and whose packed key space is either small next to
 its term pairs or, with at least 512 pairs, fits in 64 bits.
 ``backend_name()`` names the multiply kernel and always returns
 ``"python"``.
+
+Each stage of a CLI pipeline is a new interpreter, so the import keeps to
+what a text pipeline runs: besides its own modules it loads ``argparse``
+(with ``gettext``) and ``__future__``, and ``hashlib``, ``json`` and
+``decimal`` wait for a provenance hash, a JSON input or a non-integral
+coefficient to print.  Every module of the package is still imported
+here, including those the CLI never calls, because the benchmark's
+tracer wraps functions it finds in ``sys.modules`` right after
+``import sparsepoly``.
 """
 
 from ._kernel import backend_name

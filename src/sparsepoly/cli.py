@@ -60,7 +60,10 @@ def _number(token: str) -> float:
 
 
 def _number_list(text: str) -> list[float]:
-    return [_number(tok) for tok in text.split(",") if tok.strip() != ""]
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"empty entry in the number list {text!r}")
+    return [_number(tok) for tok in tokens]
 
 
 def _polys(expr_arg: str) -> list[Mvp]:

@@ -19,7 +19,6 @@ exception; it drops zeros at the end of a pass (``_kernel``).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import re
@@ -48,6 +47,44 @@ _VALID_NAMES_MAX = 4096
 
 class PowerOverflowError(OverflowError):
     """A power left the signed 64-bit range during power arithmetic."""
+
+
+class Record:
+    """Base of the package's small immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``.  An instance equals only
+    an instance of the same class with equal fields, hashes and pickles by
+    its fields, and refuses assignment and deletion with AttributeError.
+    These are a frozen dataclass's value semantics, without the import of
+    ``dataclasses`` (and ``inspect``) that every CLI stage would pay for.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def require_symbol(name: str) -> str:
@@ -449,6 +486,10 @@ def from_json(text: str) -> Mvp:
     coefficient that is not a number of double range, and on a document
     nested too deeply for the decoder.
     """
+    # Imported here, not at module level: only a JSON stdin line needs it,
+    # and every CLI stage pays for the package's imports.
+    import json
+
     try:
         doc = json.loads(text)
     except RecursionError:

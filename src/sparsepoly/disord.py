@@ -14,7 +14,6 @@ both length and provenance, so the hash survives.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, NamedTuple
 
 from .core import Mvp, canonical_json
@@ -45,6 +44,9 @@ class PowerRow(NamedTuple):
 
 
 def _digest(data: str) -> str:
+    # Imported here: a CLI stage that hashes nothing should not load it.
+    import hashlib
+
     return hashlib.sha256(data.encode()).hexdigest()
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-import string
 
 from .core import Mvp, add_terms, require_symbol
 from .disord import coeffs, powers
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def knight(dimension: int) -> Mvp:
@@ -21,7 +22,7 @@ def knight(dimension: int) -> Mvp:
         raise ValueError(f"dimension must be at least 1, got {dimension}")
     if dimension > 26:
         raise ValueError("dimension capped at 26 (one letter per coordinate)")
-    syms = string.ascii_lowercase[:dimension]
+    syms = _LETTERS[:dimension]
     out = {}
     for i in range(dimension):
         for j in range(dimension):
@@ -55,7 +56,7 @@ def rmvp(
     if isinstance(alphabet, int):
         if not 1 <= alphabet <= 26:
             raise ValueError("alphabet size must be between 1 and 26")
-        pool = list(string.ascii_lowercase[:alphabet])
+        pool = list(_LETTERS[:alphabet])
     else:
         pool = [require_symbol(s) for s in alphabet]
         if not pool:

@@ -17,7 +17,6 @@ polynomial prints "0".
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from typing import Optional, Sequence
 
 from .core import Mvp, power_of, require_symbol
@@ -30,6 +29,10 @@ def format_number(x: float) -> str:
         return repr(x)
     if x == int(x):
         return str(int(x))
+    # Imported on first use: integral coefficients, all a CLI pipeline of
+    # integer polynomials prints, do not need it.
+    from decimal import Decimal
+
     return format(Decimal(f"{x:.6e}").normalize(), "f")
 
 

@@ -8,16 +8,14 @@ shift substitution to expand about a point.  A variable named like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Mvp, add_terms, group_by_power, power_of, require_symbol, total_degree
+from .core import Mvp, Record, add_terms, group_by_power, power_of, require_symbol, total_degree
 from .parser import parse
 from .transform import subs
 
 
-@dataclass(frozen=True)
-class SeriesDecomposition:
+class SeriesDecomposition(Record):
     """A polynomial regrouped by powers of one variable.
 
     ``components`` holds (power, coefficient) pairs sorted by ascending
@@ -25,9 +23,12 @@ class SeriesDecomposition:
     reconstructs the source polynomial.
     """
 
-    variable: str
-    display: Optional[str]
-    components: tuple
+    __slots__ = __match_args__ = ("variable", "display", "components")
+
+    def __init__(self, variable: str, display: Optional[str], components: tuple):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "display", display)
+        object.__setattr__(self, "components", components)
 
     def __str__(self) -> str:
         from .printer import render_series

@@ -7,22 +7,23 @@ contract.  Keyword arguments are a convenience that preserves call order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._kernel import mul_terms, pow_terms
 from .core import (
-    Mvp, add_terms, check_power, constant, group_by_power, require_symbol, split_term,
+    Mvp, Record, add_terms, check_power, constant, group_by_power, require_symbol, split_term,
 )
 from .parser import parse_or_lift
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Record):
     """One substitution step: replace ``symbol`` by ``value`` everywhere."""
 
-    symbol: str
-    value: Mvp
+    __slots__ = __match_args__ = ("symbol", "value")
+
+    def __init__(self, symbol: str, value: Mvp):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "value", value)
 
 
 def _as_bindings(pairs, by_name) -> list[Binding]:

@@ -142,6 +142,32 @@ def test_subvec(capsys):
     assert out == "39 66 109 168 243"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horner", "x", "1,,2"],
+        ["horner", "x", "1,2,"],
+        ["horner", "x", ",1"],
+        ["horner", "x", "1, ,2"],
+        ["subvec", "x+y", "x=1,,2", "y=3,4"],
+        ["subvec", "x", "x=1,2,"],
+    ],
+)
+def test_empty_number_list_entry_exit_code(capsys, argv):
+    # An empty entry used to be skipped: horner shifted the coefficients
+    # to lower powers and subvec paired the wrong components.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sparsepoly")
+
+
+def test_number_list_entries_may_carry_spaces(capsys):
+    code, out, _ = run(capsys, "horner", "x", "1, 2 ,3")
+    assert code == 0
+    assert out == "1 + 2 x + 3 x^2"
+
+
 def test_deriv(capsys):
     code, out, _ = run(capsys, "deriv", "a + 5 a^5*b^2*c^8 -3 x^2 a^3 b c^3", "a", "b", "c")
     assert code == 0
@@ -468,6 +494,74 @@ def test_subs_on_stdin_loads_no_numpy():
     done = _fresh_python(code, stdin=line)
     assert done.returncode == 0, done.stderr
     assert parse(done.stdout) == sparsepoly.subs(parse(line), x="2 + b")
+
+
+def test_import_and_subs_stage_load_no_unused_stdlib_module():
+    # Standard-library modules that a text pipeline never runs.  Each CLI
+    # stage is a new interpreter, so importing one costs every stage.
+    lazy = ["dataclasses", "inspect", "hashlib", "decimal", "json"]
+    # The perfbench tracer reads these from sys.modules right after
+    # ``import sparsepoly``, so the package must keep importing them.
+    layers = [
+        "_kernel", "arith", "parser", "printer", "core",
+        "disord", "transform", "calculus", "series", "cli",
+    ]
+    code = (
+        "import sys\n"
+        f"lazy = {lazy!r}\n"
+        "before = set(sys.modules)\n"
+        "import sparsepoly\n"
+        "from sparsepoly import cli\n"
+        "loaded = [m for m in lazy if m in sys.modules and m not in before]\n"
+        "assert not loaded, f'import sparsepoly loaded {loaded}'\n"
+        f"missing = [m for m in {layers!r} if 'sparsepoly.' + m not in sys.modules]\n"
+        "assert not missing, f'import sparsepoly did not load {missing}'\n"
+        "assert cli.main(['subs', '-', 'x=2 + b']) == 0\n"
+        "loaded = [m for m in lazy if m in sys.modules and m not in before]\n"
+        "assert not loaded, f'subs loaded {loaded}'\n"
+    )
+    done = _fresh_python(code, stdin="a + x^2 + 3 x y\n")
+    assert done.returncode == 0, done.stderr
+    assert parse(done.stdout) == parse("4 + a + 4 b + b^2 + 6 y + 3 b y")
+
+
+@pytest.mark.parametrize(
+    "module, argv, stdin, expected",
+    [
+        (
+            "hashlib",
+            ["coeffs", "3 x y + z^3 - 2 x"],
+            None,
+            "A disord object with hash"
+            " c8e18f45b4462413527b479ec0bc4454e29a08f0ea93b15077210f56804aa656"
+            " and elements\n-2 3 1\n(in some order)\n",
+        ),
+        (
+            "json",
+            ["eval", "-"],
+            '{"terms":[{"powers":{},"coeff":-2.0},{"powers":{"a":1,"b":-2},"coeff":7.0}]}\n',
+            "-2 + 7 a b^-2\n",
+        ),
+        (
+            "decimal",
+            ["horner", "x", "0.5,0.25,-1/3"],
+            None,
+            "0.5 + 0.25 x - 0.3333333 x^2\n",
+        ),
+    ],
+    ids=["hashlib", "json", "decimal"],
+)
+def test_first_use_of_a_lazy_import_keeps_the_bytes(module, argv, stdin, expected):
+    code = (
+        "import sys\n"
+        "from sparsepoly import cli\n"
+        f"assert {module!r} not in sys.modules\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"assert {module!r} in sys.modules\n"
+    )
+    done = _fresh_python(code, stdin=stdin)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_reader_that_closes_the_pipe_gets_no_traceback(tmp_path):

@@ -1,5 +1,8 @@
 """Truncation, extraction, and series decomposition."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +10,7 @@ import strategies
 from helpers import norm_ws
 from sparsepoly import (
     Mvp,
+    SeriesDecomposition,
     equals,
     onevarpow,
     parse,
@@ -105,6 +109,28 @@ def test_series_components_never_mention_the_variable():
     p = parse("x^-2 a + x b + c") * parse("x + a")
     for _, coeff in series(p, "x").components:
         assert "x" not in coeff.symbols()
+
+
+def test_series_decomposition_is_an_immutable_value():
+    one, y = Mvp.from_number(1), parse("y")
+    components = ((0, one), (2, y))
+    d = SeriesDecomposition("x", None, components)
+    assert d == series(parse("1 + x^2 y"), "x")
+    assert d == SeriesDecomposition(variable="x", display=None, components=components)
+    assert (d.variable, d.display, d.components) == ("x", None, components)
+    assert d != SeriesDecomposition("x", "(x-a)", components)
+    assert d != ("x", None, components)
+    assert hash(d) == hash(series(parse("1 + x^2 y"), "x"))
+    assert str(d) == repr(d) == "x^0(1) + x^2(y)"
+    with pytest.raises(AttributeError):
+        d.components = ()
+    with pytest.raises(AttributeError):
+        del d.variable
+    assert pickle.loads(pickle.dumps(d)) == d
+    assert copy.deepcopy(d) == d
+    match d:
+        case SeriesDecomposition(variable, display, parts):
+            assert (variable, display, parts) == ("x", None, components)
 
 
 def test_series_m_convention_display():

@@ -1,5 +1,7 @@
 """Substitution (sequential and vectorised) and power negation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import eval_at, random_mvp, random_nonneg_mvp
-from sparsepoly import Mvp, invert, parse, render, subs, subvec
+from sparsepoly import Binding, Mvp, invert, parse, render, subs, subvec
 
 S3 = parse("x + 5 x^4 y + 8 y^2 x z^3")
 
@@ -187,3 +189,23 @@ def test_invert_is_involution(p):
 def test_inverted_polynomial_obeys_arithmetic():
     p = invert(parse("1+x+x^2 y"))
     assert p + parse("z^6") == parse("1 + x^-2 y^-1 + x^-1 + z^6")
+
+
+def test_binding_is_an_immutable_value():
+    x = parse("x")
+    b = Binding("a", x)
+    assert b == Binding(symbol="a", value=parse("x"))
+    assert (b.symbol, b.value) == ("a", x)
+    assert b != Binding("a", parse("y")) and b != Binding("b", x)
+    assert b != ("a", x)
+    assert hash(b) == hash(Binding("a", parse("x")))
+    assert repr(b) == "Binding(symbol='a', value=x)"
+    with pytest.raises(AttributeError):
+        b.symbol = "b"
+    with pytest.raises(AttributeError):
+        del b.value
+    assert pickle.loads(pickle.dumps(b)) == b
+    assert copy.deepcopy(b) == b
+    match b:
+        case Binding(symbol, value):
+            assert (symbol, value) == ("a", x)
