@@ -5,36 +5,38 @@ from __future__ import annotations
 import operator
 from typing import Optional, Sequence, Union
 
-from .core import Mvp, add_terms, check_finite, check_power, require_symbol
+from .core import Mvp, check_finite, check_power, require_symbol
 from .parser import parse_or_lift
 
 
 def _deriv_once(terms: dict, symbol: str) -> dict:
-    def pairs():
-        # The split is inline: core.split_term per term measured 20% slower.
-        for t, c in terms.items():
-            k = 0
-            rest = []
-            for s, p in t:
-                if s == symbol:
-                    k = p
-                else:
-                    rest.append((s, p))
-            if k == 0:
-                continue
-            if k != 1:
-                rest.append((symbol, check_power(k - 1)))
-                rest.sort()
-            yield tuple(rest), c * k
+    """d/dsymbol of a term dict, in the order of ``terms``.
 
-    return add_terms({}, pairs())
+    Distinct terms that hold the symbol give distinct terms, and ``c*k``
+    is never 0, so nothing is summed and a plain dict keeps the order.
+    """
+    out = {}
+    for t, c in terms.items():
+        i = 0
+        for s, k in t:
+            if s == symbol:
+                break
+            i += 1
+        else:
+            continue
+        if k == 1:
+            out[t[:i] + t[i + 1 :]] = c * k
+        else:
+            out[t[:i] + ((symbol, check_power(k - 1)),) + t[i + 1 :]] = c * k
+    return out
 
 
 def deriv(p: Mvp, variables: Union[str, Sequence[str]]) -> Mvp:
     """Successive partial derivatives, applied left to right.
 
     Per term, d/ds of c*s^k*R is c*k*s^(k-1)*R, valid for negative k;
-    terms without the variable are dropped.
+    terms without the variable are dropped.  The result keeps the
+    input's stored term order.
     """
     if isinstance(variables, str):
         variables = [variables]

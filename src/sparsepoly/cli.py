@@ -142,7 +142,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("horner", help="sum of c_i * EXPR^i by Horner's scheme")
     p.add_argument("expr")
-    p.add_argument("coefficients", metavar="c0,c1,...", type=_number_list)
+    p.add_argument("coefficients", metavar="c0,c1,...")
     poly_flags(p)
 
     p = sub.add_parser("trunc", help="keep terms of total degree <= N")
@@ -218,6 +218,9 @@ _PER_LINE = {
 def _run(args) -> list[str]:
     cmd = args.command
 
+    if cmd == "horner":
+        # Read here, not by argparse, so an error names its reason.
+        args.coefficients = _number_list(args.coefficients)
     if cmd in _PER_LINE:
         to_line = _PER_LINE[cmd]
         return [to_line(p, args) for p in _polys(args.expr)]

@@ -465,15 +465,16 @@ def canonical_json(p: Mvp) -> str:
     ``json.dumps`` writes for a finite float (subclasses included).
     Stored symbols are exact ``str`` (``require_symbol`` copies a
     subclass) that match the symbol rule, so ``%s`` writes their
-    characters and none needs escaping.
+    characters and none needs escaping.  Each distinct (symbol, power)
+    pair is formatted once per call.
     """
-    term_json = '{"powers":{%s},"coeff":%s}'
+    terms = p._canonical()
+    text = {pair: '"%s":%d' % pair for pair in {pair for t in terms for pair in t}}
+    at = text.__getitem__
     rep = float.__repr__
+    # Each term is {"powers":{...},"coeff":...}; the f-string doubles braces.
     return '{"terms":[%s]}' % ",".join(
-        [
-            term_json % (",".join(['"%s":%d' % pair for pair in t]), rep(c))
-            for t, c in p.terms()
-        ]
+        [f'{{"powers":{{{",".join(map(at, t))}}},"coeff":{rep(c)}}}' for t, c in terms.items()]
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Mvp, Record, add_terms, group_by_power, power_of, require_symbol, total_degree
+from .core import Mvp, Record, group_by_power, power_of, require_symbol, total_degree
 from .parser import parse
 from .transform import subs
 
@@ -68,19 +68,26 @@ def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
 
     Keeps the terms whose power of each target symbol equals the target
     exactly (absent counting as 0), then deletes those symbols from what
-    remains: the result is the factor multiplying the requested monomial.
-    An invalid symbol name raises ValueError.
+    remains: the result is the factor multiplying the requested monomial,
+    in the input's stored term order.  An invalid symbol name raises
+    ValueError.
     """
     merged = dict(targets or {})
     merged.update(by_name)
-    for s in merged:
-        require_symbol(s)
-    kept = (
-        (tuple(pair for pair in t if pair[0] not in merged), c)
-        for t, c in p._terms.items()
-        if all(power_of(t, s) == k for s, k in merged.items())
-    )
-    return Mvp._from_clean(add_terms({}, kept))
+    merged = {require_symbol(s): k for s, k in merged.items()}
+    # Stored powers are nonzero, so a term matches when its pairs on the
+    # target symbols are exactly the nonzero targets, in symbol order.
+    want = sorted(pair for pair in merged.items() if pair[1] != 0)
+    out = {}
+    for t, c in p._terms.items():
+        on = []
+        rest = []
+        for pair in t:
+            (on if pair[0] in merged else rest).append(pair)
+        # Distinct matching terms differ off the targets: nothing is summed.
+        if on == want:
+            out[tuple(rest)] = c
+    return Mvp._from_clean(out)
 
 
 def _display_for(variable: str) -> Optional[str]:

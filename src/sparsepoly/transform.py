@@ -7,6 +7,7 @@ contract.  Keyword arguments are a convenience that preserves call order.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 from ._kernel import mul_terms, pow_terms
@@ -62,14 +63,17 @@ def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
                 f"which occurs with negative power {k}"
             )
 
-    # value**k in ascending k, each from the one before.
+    # value**k in ascending k, each from the one before.  The k = 0 group
+    # is added as it is: a product with {(): 1.0} would only copy it.
     out = {}
-    vk, k_prev = {(): 1.0}, 0
+    vk, k_prev = None, 0
     for k in sorted(groups):
-        if k != k_prev:
-            step = pow_terms(value._canonical(), k - k_prev)
-            vk = mul_terms(vk, step) if k_prev else step
-            k_prev = k
+        if k == 0:
+            add_terms(out, groups[0].items())
+            continue
+        step = pow_terms(value._canonical(), k - k_prev)
+        vk = mul_terms(vk, step) if k_prev else step
+        k_prev = k
         add_terms(out, mul_terms(groups[k], vk).items())
     return out
 
@@ -92,13 +96,30 @@ def subs(p: Mvp, bindings: Optional[Sequence] = None, *, lose: bool = True, **by
     return result
 
 
+# Cells (terms x components) per block of subvec: it bounds each temporary
+# array to about this many doubles, whatever the size of the input.
+_SUBVEC_BLOCK = 1 << 16
+
+
 def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     """Evaluate at vectors of numeric values, one result per component.
 
-    Every symbol of ``p`` must be bound; vectors must share one length
-    (length-1 values are recycled).  Negative powers evaluate as real
-    reciprocals.  Raises ValueError on a non-finite value and
-    OverflowError when a result overflows a double.
+    Every symbol of ``p`` must be bound, each to a number or a 1-D
+    sequence of numbers (anything else raises ValueError naming the
+    symbol); vectors must share one length (length-1 values are
+    recycled).  Negative powers evaluate as real reciprocals, and a zero
+    component under a negative power raises ZeroDivisionError.  Raises
+    ValueError on a non-finite value and OverflowError when a result
+    overflows a double.
+
+    Works on blocks of terms in canonical order (and, for long vectors,
+    of components), so temporaries stay a few blocks in size.  Within a
+    block each distinct (symbol, power) is raised once, as
+    ``vec ** float(k)``; a term is its coefficient times those rows in
+    the term's pair order, and the terms are added one after another in
+    canonical order, so the result is the same to the bit as a per-term
+    loop.  A 2-D value is refused rather than broadcast, because blocks
+    would broadcast it differently from the whole.
     """
     # Imported here, not at module level: numpy is most of the package's
     # import time, and only this function needs it.
@@ -110,6 +131,11 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
         require_symbol(s)
     vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in supplied.items()}
     for s, v in vectors.items():
+        if v.ndim != 1:
+            raise ValueError(
+                f"value bound to {s!r} must be a number or a 1-D sequence, "
+                f"got an array of shape {v.shape}"
+            )
         if not np.isfinite(v).all():
             raise ValueError(f"non-finite value bound to {s!r}")
 
@@ -123,19 +149,51 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
         raise ValueError(f"incompatible vector lengths: {sorted(lengths)}")
     n = lengths.pop() if lengths else 1
 
-    out = np.zeros(n)
-    # An overflow shows as inf or NaN in the result, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, c in p.terms():
-            term_val = np.full(n, c)
+    terms = p._canonical()
+    # The first negative power, in term order, of a symbol with a zero.
+    zeros = {s for s, v in vectors.items() if (v == 0.0).any()}
+    if zeros:
+        for t in terms:
             for s, k in t:
-                vec = vectors[s]
-                if k < 0 and np.any(vec == 0.0):
+                if k < 0 and s in zeros:
                     raise ZeroDivisionError(
                         f"{s!r} is zero at some component but occurs with power {k}"
                     )
-                term_val = term_val * vec ** float(k)
-            out += term_val
+
+    keys = list(terms)
+    coeffs = np.fromiter(terms.values(), dtype=float, count=len(keys))
+    # A block is rows terms by cols components, about _SUBVEC_BLOCK cells.
+    cols = max(1, min(n, _SUBVEC_BLOCK))
+    rows = max(1, _SUBVEC_BLOCK // cols)
+    out = np.zeros(n)
+    # An overflow shows as inf or NaN in the result, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(keys), rows):
+            block = keys[i : i + rows]
+            # index[term, position] is the table row of that pair; row 0
+            # holds 1.0, the padding of terms shorter than width.
+            where = dict.fromkeys(chain.from_iterable(block))
+            for r, pair in enumerate(where, 1):
+                where[pair] = r
+            sizes = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+            width = max(1, int(sizes.max()))
+            index = np.zeros((len(block), width), dtype=np.intp)
+            index[np.arange(width) < sizes[:, None]] = np.fromiter(
+                map(where.__getitem__, chain.from_iterable(block)), dtype=np.intp
+            )
+            for j in range(0, n, cols):
+                part = slice(j, j + cols)
+                table = np.empty((len(where) + 1, min(cols, n - j)))
+                table[0] = 1.0
+                for (s, k), r in where.items():
+                    vec = vectors[s]
+                    table[r] = (vec if len(vec) == 1 else vec[part]) ** float(k)
+                vals = coeffs[i : i + rows, None] * table[index[:, 0]]
+                for col in index.T[1:]:
+                    vals *= table[col]
+                # Added after the sum so far, one term after another.
+                vals[0] += out[part]
+                out[part] = np.add.accumulate(vals, axis=0)[-1]
     if not np.isfinite(out).all():
         bad = float(out[~np.isfinite(out)][0])
         raise OverflowError(f"value overflows a double: {bad!r}")

@@ -17,6 +17,10 @@ import signal
 import numpy as np
 
 from sparsepoly import Mvp
+from sparsepoly._kernel import mul_terms, pow_terms
+from sparsepoly.core import (
+    add_terms, check_power, constant, group_by_power, power_of, require_symbol, split_term,
+)
 
 
 def to_box(p: Mvp, symbols: tuple, lo: int, hi: int) -> np.ndarray:
@@ -102,3 +106,116 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# Frozen copies of the per-term loops that subvec, deriv, canonical_json,
+# subs and onevarpow replaced.  The differential tests require the library
+# to give the same bits, stored order and errors as these.
+
+
+def subvec_loop(p: Mvp, vectors: dict) -> np.ndarray:
+    """Per-term, per-factor evaluation with one small numpy call each."""
+    vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in vectors.items()}
+    lengths = {v.shape[0] for v in vectors.values()}
+    lengths.discard(1)
+    n = lengths.pop() if lengths else 1
+    out = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, c in p.terms():
+            term_val = np.full(n, c)
+            for s, k in t:
+                vec = vectors[s]
+                if k < 0 and np.any(vec == 0.0):
+                    raise ZeroDivisionError(
+                        f"{s!r} is zero at some component but occurs with power {k}"
+                    )
+                term_val = term_val * vec ** float(k)
+            out += term_val
+    if not np.isfinite(out).all():
+        bad = float(out[~np.isfinite(out)][0])
+        raise OverflowError(f"value overflows a double: {bad!r}")
+    return out
+
+
+def deriv_once_loop(terms: dict, symbol: str) -> dict:
+    """Split each term, re-append and sort, then sum through add_terms."""
+
+    def pairs():
+        for t, c in terms.items():
+            k = 0
+            rest = []
+            for s, p in t:
+                if s == symbol:
+                    k = p
+                else:
+                    rest.append((s, p))
+            if k == 0:
+                continue
+            if k != 1:
+                rest.append((symbol, check_power(k - 1)))
+                rest.sort()
+            yield tuple(rest), c * k
+
+    return add_terms({}, pairs())
+
+
+def canonical_json_loop(p: Mvp) -> str:
+    """Format every pair of every term."""
+    term_json = '{"powers":{%s},"coeff":%s}'
+    rep = float.__repr__
+    return '{"terms":[%s]}' % ",".join(
+        [
+            term_json % (",".join(['"%s":%d' % pair for pair in t]), rep(c))
+            for t, c in p.terms()
+        ]
+    )
+
+
+def substitute_one_loop(terms: dict, symbol: str, value: Mvp) -> dict:
+    """One substitution step, the k = 0 group multiplied by {(): 1.0}."""
+    if value.is_constant:
+        cval = constant(value)
+
+        def scaled():
+            for t, c in terms.items():
+                k, rest = split_term(t, symbol)
+                if k != 0:
+                    if cval == 0.0:
+                        if k < 0:
+                            raise ZeroDivisionError(
+                                f"substituting 0 for {symbol!r} raised to power {k}"
+                            )
+                        continue
+                    c = c * cval**k
+                yield rest, c
+
+        return add_terms({}, scaled())
+
+    groups = group_by_power(terms, symbol)
+    for k in groups:
+        if k < 0:
+            raise ValueError(
+                f"cannot substitute a non-constant polynomial for {symbol!r}, "
+                f"which occurs with negative power {k}"
+            )
+    out = {}
+    vk, k_prev = {(): 1.0}, 0
+    for k in sorted(groups):
+        if k != k_prev:
+            step = pow_terms(value._canonical(), k - k_prev)
+            vk = mul_terms(vk, step) if k_prev else step
+            k_prev = k
+        add_terms(out, mul_terms(groups[k], vk).items())
+    return out
+
+
+def onevarpow_loop(p: Mvp, targets: dict) -> dict:
+    """Scan each term once per target with power_of."""
+    for s in targets:
+        require_symbol(s)
+    kept = (
+        (tuple(pair for pair in t if pair[0] not in targets), c)
+        for t, c in p._terms.items()
+        if all(power_of(t, s) == k for s, k in targets.items())
+    )
+    return add_terms({}, kept)

@@ -162,6 +162,23 @@ def test_empty_number_list_entry_exit_code(capsys, argv):
     assert err.startswith("sparsepoly")
 
 
+@pytest.mark.parametrize(
+    "numbers, reason",
+    [
+        ("1,,2", "empty entry in the number list '1,,2'"),
+        ("1,a", "could not convert string to float: 'a'"),
+        ("1/0", "zero denominator in '1/0'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["horner", "subvec"])
+def test_bad_number_list_message_names_the_reason(capsys, command, numbers, reason):
+    argv = ["horner", "x", numbers] if command == "horner" else ["subvec", "x", f"x={numbers}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"sparsepoly: {reason}"
+
+
 def test_number_list_entries_may_carry_spaces(capsys):
     code, out, _ = run(capsys, "horner", "x", "1, 2 ,3")
     assert code == 0

@@ -151,6 +151,52 @@ def test_subvec_negative_powers_are_reciprocals():
     assert got.tolist() == [1.0, 0.25, 0.0625]
 
 
+@pytest.mark.parametrize(
+    "value", [[[1, 2, 3]], [[1], [2], [3]], [[1.0, 2.0], [3.0, 4.0]]], ids=["1x3", "3x1", "2x2"]
+)
+def test_subvec_rejects_a_value_that_is_not_one_dimensional(value):
+    with pytest.raises(ValueError, match=r"'a' must be a number or a 1-D sequence"):
+        subvec(parse("a"), {"a": value})
+    # Checked before any work: the zero under a negative power is not met.
+    with pytest.raises(ValueError, match=r"'b' must be a number or a 1-D sequence"):
+        subvec(parse("a^-1"), {"a": [0.0, 1.0], "b": value})
+
+
+def test_subvec_memory_stays_within_the_output_and_one_block():
+    import tracemalloc
+
+    import numpy as np
+
+    from sparsepoly import transform
+
+    rng = random.Random(5)
+    wide = Mvp(
+        (
+            {s: rng.choice((-2, -1, 1, 2, 3)) for s in rng.sample("abcdefgh", 4)},
+            rng.uniform(-1, 1),
+        )
+        for _ in range(20_000)
+    )
+    cases = [
+        # One term at a million points: one component block at a time.
+        (parse("3 a^2 b^-1 c"), {s: np.linspace(1.0, 2.0, 10**6) for s in "abc"}),
+        # 20,000 terms at 4 points: 16,384 terms per block.
+        (wide, {s: [1.0, 2.0, -1.5, 0.5] for s in "abcdefgh"}),
+    ]
+    block = transform._SUBVEC_BLOCK * 8
+    for p, vectors in cases:
+        p.terms()  # build the canonical order before measuring
+        tracemalloc.start()
+        try:
+            out = subvec(p, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The output, and per block a table, the products, a gathered row
+        # set, the running sums and the term index: within 5x.
+        assert peak <= 5 * (out.nbytes + block), (len(p), peak)
+
+
 def test_subvec_single_point_agrees_with_subs():
     rng = random.Random(11)
     for _ in range(20):
