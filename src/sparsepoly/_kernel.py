@@ -33,7 +33,11 @@ when some pair's power sum leaves the signed 64-bit range; the packed
 path only runs on key spaces that fit that range, where no power sum can
 leave it.
 
-``pow_terms`` builds powers from the product by binary squaring.
+``pow_terms`` builds powers from the product by binary squaring.  While
+the packed path runs, the intermediates of a power stay in its form, a
+``_Packed`` of keys and coefficients, and the power is decoded into a dict
+once, at the end: a packed product returns that form whenever an operand
+is in it, and a dict for two dicts.
 """
 
 import math
@@ -89,10 +93,13 @@ def merge_terms(t1, t2):
 
 
 def mul_terms(p, q):
-    """Convolve two term->coefficient dicts into a new dict.
+    """Convolve two term->coefficient operands.
 
     Every term pair is accumulated into the result, and exact zeros are
     dropped at the end, so the output satisfies the storage invariants.
+    An operand is a dict or, inside ``pow_terms``, a ``_Packed``: the result
+    is a dict for two dicts, and a ``_Packed`` from the packed path when an
+    operand is one.
     """
     # The packed path wins where many pairs share a product term, which a
     # key space small next to the pair count makes likely.  Measured against
@@ -125,7 +132,8 @@ def mul_terms(p, q):
             return _mul_packed(p, q, columns, dense=True)
         if pairs >= _SORTED_MIN_PAIRS and size <= INT64_MAX:
             return _mul_packed(p, q, columns, dense=False)
-    return mul_terms_dict(p, q)
+    p_terms = _unpacked(p)
+    return mul_terms_dict(p_terms, p_terms if q is p else _unpacked(q))
 
 
 def mul_terms_dict(p, q):
@@ -150,7 +158,7 @@ def _columns(p, q):
     counts as power 0 there.
     """
     lo_p, hi_p = _power_ranges(p)
-    lo_q, hi_q = _power_ranges(q)
+    lo_q, hi_q = (lo_p, hi_p) if q is p else _power_ranges(q)
     columns = []
     for s in sorted(lo_p.keys() | hi_p.keys() | lo_q.keys() | hi_q.keys()):
         low = lo_p.get(s, 0) + lo_q.get(s, 0)
@@ -162,7 +170,10 @@ def _columns(p, q):
 def pow_terms(terms, n):
     """``terms`` raised to the nonnegative integer ``n``, as a dict.
 
-    Built by binary squaring, in at most 2 log2(n) products.
+    Built by binary squaring, in at most 2 log2(n) products, each through
+    ``mul_terms``.  An operand with enough terms for the packed path is
+    encoded before it is squared, and the products stay packed while the
+    packed path runs: the power is decoded once, at the end.
     """
     if n == 0:
         return {(): 1.0}
@@ -172,7 +183,8 @@ def pow_terms(terms, n):
             result = terms if result is None else mul_terms(result, terms)
         n >>= 1
         if not n:
-            return result
+            return _unpacked(result)
+        terms = _pack(terms)
         terms = mul_terms(terms, terms)
 
 
@@ -180,6 +192,14 @@ def _power_ranges(terms):
     """Per-symbol lowest negative and highest positive power over the terms."""
     lo = {}
     hi = {}
+    if isinstance(terms, _Packed):
+        for s, powers in terms.powers():
+            low, high = int(powers.min()), int(powers.max())
+            if low < 0:
+                lo[s] = low
+            if high > 0:
+                hi[s] = high
+        return lo, hi
     for t in terms:
         for s, k in t:
             if k < 0:
@@ -190,18 +210,81 @@ def _power_ranges(terms):
     return lo, hi
 
 
-def _mul_packed(p, q, columns, dense):
-    # Precondition, kept by mul_terms: operands with at least one term
-    # each, and a key space of at most INT64_MAX keys, so every power sum
-    # and every key lies in the signed 64-bit range; with dense, at most
-    # _PACKED_KEYS_PER_PAIR keys per term pair, so the dense accumulator
-    # costs at most 9 bytes per key.
-    import numpy as np
+class _Packed:
+    """Terms in the packed path's form, for the intermediates of a power.
 
-    # A term's key holds each column's power in a mixed radix, biased by
-    # the column's lowest power, so a pair's key is the sum of its terms'
-    # keys and lies in [0, radix).  The first symbol is the most significant
-    # digit, so key order is close to the canonical order of the terms.
+    Row ``i`` is the term whose key over ``columns`` is ``keys[i]``, biased
+    into [0, key space) as in ``_mul_packed``, with coefficient
+    ``coeffs[i]``.  The rows keep the order they were made in: ascending
+    keys for a product, the dict's order for an encoded dict.  ``len()``
+    counts the terms, as it does for a dict.
+    """
+
+    __slots__ = ("keys", "coeffs", "columns", "_powers")
+
+    def __init__(self, keys, coeffs, columns):
+        self.keys = keys
+        self.coeffs = coeffs
+        self.columns = columns
+        self._powers = None
+
+    def __len__(self):
+        return len(self.keys)
+
+    def powers(self):
+        """``(symbol, each row's power of it)`` per column, worked out once:
+        a square reads them once, for its columns and for its keys."""
+        if self._powers is None:
+            import numpy as np
+
+            keys = self.keys
+            powers = []
+            for s, low, span in reversed(self.columns[1:]):
+                keys, digit = np.divmod(keys, span)
+                powers.append((s, digit + low))
+            s, low, _ = self.columns[0]
+            powers.append((s, keys + low))
+            powers.reverse()
+            self._powers = powers
+        return self._powers
+
+
+def _pack(terms):
+    """A dict of at least ``_PACKED_MIN_TERMS`` terms whose own key space
+    fits in int64, as a ``_Packed`` over its own columns, in its order; any
+    other operand as it is.
+
+    A dict whose own key space is beyond int64 stays one: every product
+    with it has a key space at least as large, so takes the dict path.
+    """
+    if isinstance(terms, _Packed) or len(terms) < _PACKED_MIN_TERMS:
+        return terms
+    columns = _columns(terms, {})
+    weight, offset, size = _radix(columns)
+    if size > INT64_MAX:
+        return terms
+    return _Packed(_keys(terms, weight, offset), _coeffs(terms), columns)
+
+
+def _unpacked(terms):
+    """The term->coefficient dict of an operand, in its row order."""
+    if isinstance(terms, _Packed):
+        return _decode_terms(terms.keys, terms.coeffs, terms.columns)
+    return terms
+
+
+def _radix(columns):
+    """The mixed radix of packed keys over ``columns``: each symbol's
+    weight, the offset that biases a key into [0, key space), and the key
+    space.
+
+    A term's key holds each column's power in the radix, biased by the
+    column's lowest power, so a pair's key is the sum of its terms' keys
+    and lies in [0, key space).  The first symbol is the most significant
+    digit, so key order is close to the canonical order of the terms, and
+    ascending keys are the terms in lexicographic order of their biased
+    powers, first symbol first, whatever the radix.
+    """
     weight = {}
     offset = 0
     radix = 1
@@ -209,15 +292,61 @@ def _mul_packed(p, q, columns, dense):
         weight[s] = radix
         offset -= low * radix
         radix *= span
-    p_keys = np.array([offset + sum([k * weight[s] for s, k in t]) for t in p], dtype=np.int64)
-    q_keys = np.array([sum([k * weight[s] for s, k in t]) for t in q], dtype=np.int64)
-    p_coeffs = np.fromiter(p.values(), float, len(p))
-    q_coeffs = np.fromiter(q.values(), float, len(q))
+    return weight, offset, radix
+
+
+def _keys(terms, weight, offset):
+    """``offset`` plus the unbiased key of each of an operand's terms, in
+    its order, under ``weight``; the result must lie in the signed 64-bit
+    range."""
+    import numpy as np
+
+    if isinstance(terms, _Packed):
+        # Column by column, each partial sum lies between the key's bounds.
+        keys = np.full(len(terms), offset, dtype=np.int64)
+        for s, powers in terms.powers():
+            if s in weight:  # a column without weight has no nonzero power
+                keys += powers * weight[s]
+        return keys
+    return np.array([offset + sum([k * weight[s] for s, k in t]) for t in terms], dtype=np.int64)
+
+
+def _coeffs(terms):
+    """An operand's coefficients, in its order, as a float64 array."""
+    import numpy as np
+
+    if isinstance(terms, _Packed):
+        return terms.coeffs
+    return np.fromiter(terms.values(), float, len(terms))
+
+
+def _mul_packed(p, q, columns, dense):
+    # Precondition, kept by mul_terms: operands with at least one term
+    # each, and a key space of at most INT64_MAX keys, so every power sum
+    # and every key lies in the signed 64-bit range; with dense, at most
+    # _PACKED_KEYS_PER_PAIR keys per term pair, so the dense accumulator
+    # costs at most 9 bytes per key.
+    weight, offset, radix = _radix(columns)
+    q_keys = _keys(q, weight, 0)
+    q_coeffs = _coeffs(q)
+    if p is q:  # a square encodes its operand once
+        p_keys, p_coeffs = q_keys + offset, q_coeffs
+    else:
+        p_keys, p_coeffs = _keys(p, weight, offset), _coeffs(p)
 
     # The accumulator is freed on return, before the result dict grows.
     keys, coeffs = _accumulate(p_keys, p_coeffs, q_keys, q_coeffs, radix if dense else None)
     if not len(keys):
         return {}
+    if isinstance(p, _Packed) or isinstance(q, _Packed):
+        return _Packed(keys, coeffs, columns)
+    return _decode_terms(keys, coeffs, columns)
+
+
+def _decode_terms(keys, coeffs, columns):
+    """The term->coefficient dict of nonempty packed keys over ``columns``
+    and their coefficients, in the keys' order."""
+    import numpy as np
 
     # Each key is decoded as a high and a low half, and each half that
     # occurs is decoded once.  A chunk's halves are split off as the chunk
@@ -225,7 +354,8 @@ def _mul_packed(p, q, columns, dense):
     # stay alive while the result dict grows.  map and zip join the halves
     # without a loop in Python, which measured about 25% faster on a
     # 92k-term product.
-    split, high_terms, low_terms = _halves(keys, radix, columns)
+    size = math.prod([span for _, _, span in columns])
+    split, high_terms, low_terms = _halves(keys, size, columns)
     out = {}
     for i in range(0, len(keys), _DECODE_CHUNK):
         chunk = slice(i, i + _DECODE_CHUNK)

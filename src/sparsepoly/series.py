@@ -8,6 +8,7 @@ shift substitution to expand about a point.  A variable named like
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .core import Mvp, Record, group_by_power, power_of, require_symbol, total_degree
@@ -48,13 +49,19 @@ def trunc(p: Mvp, n: int) -> Mvp:
 def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
     """Keep terms whose power of each listed symbol is at most its limit.
 
-    A symbol absent from a term counts as power 0.  An invalid symbol name
-    raises ValueError.
+    A symbol absent from a term counts as power 0.  A limit may be any real
+    number, a float included.  An invalid symbol name raises ValueError, and
+    a limit that is not a real number TypeError naming its symbol, before
+    any term is read.
     """
+    import numbers
+
     merged = dict(limits or {})
     merged.update(by_name)
-    for s in merged:
+    for s, lim in merged.items():
         require_symbol(s)
+        if not isinstance(lim, numbers.Real):
+            raise TypeError(f"limit for {s!r} must be a real number, got {lim!r}")
     out = {
         t: c
         for t, c in p._terms.items()
@@ -70,11 +77,13 @@ def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
     exactly (absent counting as 0), then deletes those symbols from what
     remains: the result is the factor multiplying the requested monomial,
     in the input's stored term order.  An invalid symbol name raises
-    ValueError.
+    ValueError, and a target that is not an integer (``operator.index``
+    refuses it: a float, a string, None) TypeError naming its symbol, before
+    any term is read.
     """
     merged = dict(targets or {})
     merged.update(by_name)
-    merged = {require_symbol(s): k for s, k in merged.items()}
+    merged = {require_symbol(s): _target(s, k) for s, k in merged.items()}
     # Stored powers are nonzero, so a term matches when its pairs on the
     # target symbols are exactly the nonzero targets, in symbol order.
     want = sorted(pair for pair in merged.items() if pair[1] != 0)
@@ -88,6 +97,13 @@ def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
         if on == want:
             out[tuple(rest)] = c
     return Mvp._from_clean(out)
+
+
+def _target(symbol: str, k) -> int:
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"target power of {symbol!r} must be an integer, got {k!r}") from None
 
 
 def _display_for(variable: str) -> Optional[str]:

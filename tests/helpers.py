@@ -109,8 +109,8 @@ def time_limit(seconds: float):
 
 
 # Frozen copies of the per-term loops that subvec, deriv, canonical_json,
-# subs and onevarpow replaced.  The differential tests require the library
-# to give the same bits, stored order and errors as these.
+# subs, onevarpow and pow_terms replaced.  The differential tests require
+# the library to give the same bits, stored order and errors as these.
 
 
 def subvec_loop(p: Mvp, vectors: dict) -> np.ndarray:
@@ -219,3 +219,22 @@ def onevarpow_loop(p: Mvp, targets: dict) -> dict:
         if all(power_of(t, s) == k for s, k in targets.items())
     )
     return add_terms({}, kept)
+
+
+def pow_terms_loop(terms: dict, n: int, mul=mul_terms) -> dict:
+    """Binary squaring over dict products: each square is decoded into a
+    dict of tuple terms before the next product reads it.
+
+    ``mul`` is called with two dicts and must return one; pass a spy that
+    wraps ``mul_terms`` to record the products.
+    """
+    if n == 0:
+        return {(): 1.0}
+    result = None
+    while True:
+        if n & 1:
+            result = terms if result is None else mul(result, terms)
+        n >>= 1
+        if not n:
+            return result
+        terms = mul(terms, terms)

@@ -513,6 +513,20 @@ def test_subs_on_stdin_loads_no_numpy():
     assert parse(done.stdout) == sparsepoly.subs(parse(line), x="2 + b")
 
 
+def test_a_power_on_the_dict_path_loads_no_numpy():
+    # (1+x)^5 squares 2 and 3 terms and ends with 2 x 5 terms: every
+    # product is under the packed path's 8-term floor.
+    code = (
+        "import sys\n"
+        "from sparsepoly import parse\n"
+        "print(parse('1+x') ** 5)\n"
+        "assert 'numpy' not in sys.modules, 'the power loaded numpy'\n"
+    )
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    assert parse(done.stdout) == parse("1 + 5 x + 10 x^2 + 10 x^3 + 5 x^4 + x^5")
+
+
 def test_import_and_subs_stage_load_no_unused_stdlib_module():
     # Standard-library modules that a text pipeline never runs.  Each CLI
     # stage is a new interpreter, so importing one costs every stage.

@@ -76,6 +76,21 @@ def test_trunc1_two_limits_against_independent_filter():
     assert render(got) == "1 + 3 x + 3 x^2 + x^3"
 
 
+def test_trunc1_accepts_float_and_numpy_limits():
+    import numpy as np
+
+    assert trunc1(X, x=3.5) == trunc1(X, x=3)
+    assert trunc1(X, x=np.int64(3), y=np.float64(0.0)) == trunc1(X, x=3, y=0)
+
+
+@pytest.mark.parametrize("limit", ["1", None, 1j], ids=["str", "none", "complex"])
+@pytest.mark.parametrize("p", [X, Mvp()], ids=["terms", "empty"])
+def test_trunc1_refuses_a_limit_that_is_not_a_real_number(p, limit):
+    # Before any term is read, so also on the empty polynomial.
+    with pytest.raises(TypeError, match=r"limit for 'y' must be a real number, got "):
+        trunc1(p, {"x": 1, "y": limit})
+
+
 def test_onevarpow_fixture():
     assert render(onevarpow(X, x=3)) == "1 + 6 y"
 
