@@ -41,10 +41,14 @@ def multiply(p: Mvp, q: Mvp) -> Mvp:
     The smaller operand is the kernel's outer one, read in canonical order
     so that each output term sums its contributions in one fixed order.
     The inner one's order cannot change a sum, since one outer term meets
-    each product term at most once; it is read in canonical order only for
-    the dict path's stored order, which it leaves in long sorted runs that
-    the product's own sort reads cheaply.  The packed path stores its terms
-    in key order either way.
+    each product term at most once, yet it is read in canonical order too.
+    On the dict path that leaves the stored order in long sorted runs that
+    the product's own sort reads cheaply.  On the packed path, which stores
+    its terms in key order either way, the operand's order shapes the
+    accumulators' access pattern: with the inner operand shuffled,
+    ``knight(4) * knight(4)**4`` and a 100 x 300-term product over 8
+    symbols ran 5-20% slower (one core, min of 21 alternating runs).  The
+    sort is paid once per operand, which keeps its canonical order.
     """
     if len(p._terms) > len(q._terms):
         p, q = q, p

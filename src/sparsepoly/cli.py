@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 from . import arith
 from .calculus import aderiv, deriv, horner
-from .core import Mvp, PowerOverflowError, canonical_json, constant, from_json
+from .core import Mvp, canonical_json, constant, from_json
 from .disord import HashMismatch, coeffs, powers
 from .examples import expected_distance, knight, rmvp
-from .parser import ParseError, parse
+from .parser import parse
 from .printer import format_number, render, render_series
 from .series import onevarpow, series, taylor, trunc, trunc1
 from .transform import subs, subvec
@@ -82,27 +82,53 @@ def _polys(expr_arg: str) -> list[Mvp]:
     return out
 
 
-def _emit_poly(p: Mvp, args) -> str:
-    if getattr(args, "json", False):
-        return canonical_json(p)
-    text = render(
-        p,
-        order=getattr(args, "order", "canonical"),
-        varorder=getattr(args, "varorder", None),
-    )
-    if getattr(args, "banner", False):
-        return f"polynomial:\n{text}"
-    return text
+def _emit(value, args) -> str:
+    """A handler's result as one output line.
+
+    Text stays as it is and a number is formatted; a polynomial is
+    rendered, or written as canonical JSON under ``--json``.
+    """
+    if isinstance(value, str):
+        return value
+    if not isinstance(value, Mvp):
+        return format_number(value)
+    if args.json:
+        return canonical_json(value)
+    text = render(value, order=args.order, varorder=args.varorder)
+    return f"polynomial:\n{text}" if args.banner else text
 
 
-def _emit_scalar(value) -> str:
-    if isinstance(value, Mvp):
-        return render(value)
-    return format_number(value)
+def _knight(_, args):
+    k = knight(args.dimension)
+    if args.exponent != 1:
+        k = arith.power(k, args.exponent)
+    if args.constant:
+        return constant(k)
+    if args.onevarpow:
+        return onevarpow(k, dict(_int_assignment(t) for t in args.onevarpow.split(",")))
+    if args.expected_distance:
+        return expected_distance(k)
+    return k
+
+
+def _rmvp(_, args):
+    # A pool size is ASCII digits; anything else is a list of names.
+    a = args.alphabet
+    alphabet = int(a) if a.isascii() and a.isdigit() else [s for s in a.split(",") if s]
+    return rmvp(args.n_terms, args.symbols_per_term, args.max_power, alphabet, args.seed)
 
 
 def _build_parser() -> _Parser:
+    """The argument parser; each subcommand sets ``run``, its handler.
+
+    A handler maps one input polynomial (None for a command without
+    ``expr``) to a polynomial, a number or a line of text.  It names the
+    library functions it calls, so it reaches them through this module's
+    globals when it runs, where a tracer may have replaced them.
+    """
     top = _Parser(prog="sparsepoly", description=__doc__)
+    # Commands without --order render in canonical order.
+    top.set_defaults(order="canonical", varorder=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def poly_flags(p, with_order=False):
@@ -117,65 +143,83 @@ def _build_parser() -> _Parser:
                 help="comma-separated variable precedence (with --order lex)",
             )
 
-    p = sub.add_parser("eval", help="parse and reprint an expression")
-    p.add_argument("expr")
-    poly_flags(p, with_order=True)
+    # Help lists positionals apart from options, so the flags may be added
+    # before a command's positionals, not before its other options.
+    def command(name, help, run, expr=True, flags=True, with_order=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if expr:
+            p.add_argument("expr")
+        if flags:
+            poly_flags(p, with_order)
+        return p
 
-    p = sub.add_parser("subs", help="substitute, bindings applied in argument order")
-    p.add_argument("expr")
+    command("eval", "parse and reprint an expression", lambda p, a: p, with_order=True)
+
+    p = command(
+        "subs", "substitute, bindings applied in argument order", lambda p, a: subs(p, a.bindings)
+    )
     p.add_argument("bindings", nargs="+", metavar="name=EXPR")
-    poly_flags(p)
 
-    p = sub.add_parser("subvec", help="vectorised numeric substitution")
-    p.add_argument("expr")
+    p = command(
+        "subvec",
+        "vectorised numeric substitution",
+        lambda p, a: " ".join(format_number(v) for v in subvec(p, a.bindings)),
+        flags=False,
+    )
     p.add_argument("bindings", nargs="+", metavar="name=v1,v2,...")
 
-    p = sub.add_parser("deriv", help="successive partial derivatives")
-    p.add_argument("expr")
+    p = command("deriv", "successive partial derivatives", lambda p, a: deriv(p, a.variables))
     p.add_argument("variables", nargs="+", metavar="VAR")
-    poly_flags(p)
 
-    p = sub.add_parser("aderiv", help="mixed partial of given orders")
-    p.add_argument("expr")
+    p = command("aderiv", "mixed partial of given orders", lambda p, a: aderiv(p, dict(a.orders)))
     p.add_argument("orders", nargs="+", metavar="name=k", type=_int_assignment)
-    poly_flags(p)
 
-    p = sub.add_parser("horner", help="sum of c_i * EXPR^i by Horner's scheme")
-    p.add_argument("expr")
+    p = command(
+        "horner", "sum of c_i * EXPR^i by Horner's scheme", lambda p, a: horner(p, a.coefficients)
+    )
     p.add_argument("coefficients", metavar="c0,c1,...")
-    poly_flags(p)
 
-    p = sub.add_parser("trunc", help="keep terms of total degree <= N")
-    p.add_argument("expr")
+    p = command("trunc", "keep terms of total degree <= N", lambda p, a: trunc(p, a.degree))
     p.add_argument("degree", type=int)
-    poly_flags(p)
 
-    p = sub.add_parser("trunc1", help="keep terms with per-symbol power <= limit")
-    p.add_argument("expr")
+    p = command(
+        "trunc1", "keep terms with per-symbol power <= limit", lambda p, a: trunc1(p, dict(a.limits))
+    )
     p.add_argument("limits", nargs="+", metavar="name=k", type=_int_assignment)
-    poly_flags(p)
 
-    p = sub.add_parser("onevarpow", help="extract the factor of an exact power pattern")
-    p.add_argument("expr")
+    p = command(
+        "onevarpow",
+        "extract the factor of an exact power pattern",
+        lambda p, a: onevarpow(p, dict(a.targets)),
+    )
     p.add_argument("targets", nargs="+", metavar="name=k", type=_int_assignment)
-    poly_flags(p)
 
-    p = sub.add_parser("series", help="decompose into powers of one variable")
-    p.add_argument("expr")
+    p = command(
+        "series",
+        "decompose into powers of one variable",
+        lambda p, a: render_series(series(p, a.variable)),
+        flags=False,
+    )
     p.add_argument("variable")
 
-    p = sub.add_parser("taylor", help="series of EXPR in VAR about the symbol ABOUT")
-    p.add_argument("expr")
+    p = command(
+        "taylor",
+        "series of EXPR in VAR about the symbol ABOUT",
+        lambda p, a: render_series(taylor(p, a.variable, a.about)),
+        flags=False,
+    )
     p.add_argument("variable")
     p.add_argument("about")
 
-    p = sub.add_parser("coeffs", help="coefficients as a disord collection")
-    p.add_argument("expr")
+    command(
+        "coeffs", "coefficients as a disord collection", lambda p, a: str(coeffs(p)), flags=False
+    )
+    command(
+        "powers", "power rows as a disord collection", lambda p, a: str(powers(p)), flags=False
+    )
 
-    p = sub.add_parser("powers", help="power rows as a disord collection")
-    p.add_argument("expr")
-
-    p = sub.add_parser("knight", help="knight-move generating function demo")
+    p = command("knight", "knight-move generating function demo", _knight, expr=False, flags=False)
     p.add_argument("dimension", type=int)
     p.add_argument("--pow", type=int, default=1, dest="exponent", metavar="N")
     group = p.add_mutually_exclusive_group()
@@ -188,7 +232,7 @@ def _build_parser() -> _Parser:
     )
     poly_flags(p)
 
-    p = sub.add_parser("rmvp", help="seeded random polynomial")
+    p = command("rmvp", "seeded random polynomial", _rmvp, expr=False, flags=False)
     p.add_argument("n_terms", type=int)
     p.add_argument("symbols_per_term", type=int)
     p.add_argument("max_power", type=int)
@@ -199,81 +243,17 @@ def _build_parser() -> _Parser:
     return top
 
 
-# Commands that turn each input polynomial into one output line.
-_PER_LINE = {
-    "eval": _emit_poly,
-    "deriv": lambda p, args: _emit_poly(deriv(p, args.variables), args),
-    "aderiv": lambda p, args: _emit_poly(aderiv(p, dict(args.orders)), args),
-    "horner": lambda p, args: _emit_poly(horner(p, args.coefficients), args),
-    "trunc": lambda p, args: _emit_poly(trunc(p, args.degree), args),
-    "trunc1": lambda p, args: _emit_poly(trunc1(p, dict(args.limits)), args),
-    "onevarpow": lambda p, args: _emit_poly(onevarpow(p, dict(args.targets)), args),
-    "series": lambda p, args: render_series(series(p, args.variable)),
-    "taylor": lambda p, args: render_series(taylor(p, args.variable, args.about)),
-    "coeffs": lambda p, args: str(coeffs(p)),
-    "powers": lambda p, args: str(powers(p)),
-}
-
-
 def _run(args) -> list[str]:
-    cmd = args.command
-
-    if cmd == "horner":
-        # Read here, not by argparse, so an error names its reason.
+    # Argument lists are read here, not by argparse, so that an error names
+    # its reason, and before stdin, so that it wins over an input error.
+    if args.command == "horner":
         args.coefficients = _number_list(args.coefficients)
-    if cmd in _PER_LINE:
-        to_line = _PER_LINE[cmd]
-        return [to_line(p, args) for p in _polys(args.expr)]
-
-    if cmd == "subs":
-        bindings = []
-        for b in args.bindings:
-            name, value = _split_assignment(b)
-            bindings.append((name, parse(value)))
-        out = []
-        for p in _polys(args.expr):
-            result = subs(p, bindings)
-            if isinstance(result, Mvp):
-                out.append(_emit_poly(result, args))
-            else:
-                out.append(_emit_scalar(result))
-        return out
-
-    if cmd == "subvec":
-        vectors = {}
-        for b in args.bindings:
-            name, value = _split_assignment(b)
-            vectors[name] = _number_list(value)
-        out = []
-        for p in _polys(args.expr):
-            values = subvec(p, vectors)
-            out.append(" ".join(format_number(v) for v in values))
-        return out
-
-    if cmd == "knight":
-        k = knight(args.dimension)
-        if args.exponent != 1:
-            k = arith.power(k, args.exponent)
-        if args.constant:
-            return [_emit_scalar(constant(k))]
-        if args.onevarpow:
-            targets = dict(_int_assignment(t) for t in args.onevarpow.split(","))
-            return [_emit_poly(onevarpow(k, targets), args)]
-        if args.expected_distance:
-            return [format_number(expected_distance(k))]
-        return [_emit_poly(k, args)]
-
-    if cmd == "rmvp":
-        alphabet: object = args.alphabet
-        # A pool size is ASCII digits; anything else is a list of names.
-        if isinstance(alphabet, str) and alphabet.isascii() and alphabet.isdigit():
-            alphabet = int(alphabet)
-        elif isinstance(alphabet, str):
-            alphabet = [s for s in alphabet.split(",") if s]
-        p = rmvp(args.n_terms, args.symbols_per_term, args.max_power, alphabet, args.seed)
-        return [_emit_poly(p, args)]
-
-    raise _UsageError(f"unknown command {cmd!r}")
+    elif args.command == "subs":
+        args.bindings = [(s, parse(v)) for s, v in map(_split_assignment, args.bindings)]
+    elif args.command == "subvec":
+        args.bindings = {s: _number_list(v) for s, v in map(_split_assignment, args.bindings)}
+    inputs = _polys(args.expr) if "expr" in args else [None]
+    return [_emit(args.run(p, args), args) for p in inputs]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -300,15 +280,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HashMismatch as e:
         print(f"sparsepoly: {e}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        PowerOverflowError,
-        ValueError,
-        ZeroDivisionError,
-        OverflowError,
-        TypeError,
-        _UsageError,
-    ) as e:
+    # ParseError is a ValueError, and PowerOverflowError an OverflowError.
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as e:
         print(f"sparsepoly: {e}", file=sys.stderr)
         return 1
 

@@ -50,8 +50,9 @@ def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
     """Keep terms whose power of each listed symbol is at most its limit.
 
     A symbol absent from a term counts as power 0.  A limit may be any real
-    number, a float included.  An invalid symbol name raises ValueError, and
-    a limit that is not a real number TypeError naming its symbol, before
+    number, a float included, and an infinite one keeps or drops every
+    term.  An invalid symbol name or a NaN limit raises ValueError, and a
+    limit that is not a real number TypeError naming its symbol, before
     any term is read.
     """
     import numbers
@@ -62,6 +63,8 @@ def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
         require_symbol(s)
         if not isinstance(lim, numbers.Real):
             raise TypeError(f"limit for {s!r} must be a real number, got {lim!r}")
+        if lim != lim:  # NaN, the one real unequal to itself
+            raise ValueError(f"limit for {s!r} is NaN")
     out = {
         t: c
         for t, c in p._terms.items()

@@ -85,15 +85,18 @@ def subs(p: Mvp, bindings: Optional[Sequence] = None, *, lose: bool = True, **by
     are appended in call order.  Values may be polynomials, strings (parsed),
     or numbers.  With ``lose`` (the default) a constant result is returned
     as a plain scalar rather than a polynomial.
+
+    Every value is read before the first step, and each step is one
+    single-binding call: ``subs(p, [b1, b2], lose=False)`` equals
+    ``subs(subs(p, [b1], lose=False), [b2], lose=False)`` to the bit, in
+    stored order too, and an overflow at a middle step raises there.
     """
-    # Read in canonical order: a term's residue can collect several terms.
-    terms = p._canonical()
     for b in _as_bindings(bindings, by_name):
-        terms = _substitute_one(terms, b.symbol, b.value)
-    result = Mvp._from_clean(terms)
-    if lose and result.is_constant:
-        return constant(result)
-    return result
+        # Read in canonical order: a term's residue can collect several terms.
+        p = Mvp._from_clean(_substitute_one(p._canonical(), b.symbol, b.value))
+    if lose and p.is_constant:
+        return constant(p)
+    return p
 
 
 # Cells (terms x components) per block of subvec: it bounds each temporary

@@ -134,6 +134,64 @@ def test_json_lines_on_stdin_are_lossless(capsys, monkeypatch):
     assert out == "1"
 
 
+def test_subs_with_two_bindings_prints_the_bytes_of_two_piped_stages(capsys, monkeypatch):
+    line = "-a^2 x y^2 + a^3 + b^3 - x^3 y"
+    a, x = "a=0.3 x + 0.33 y^2 + 0.7 b", "x=0.1 + 0.14 a + 2.3 y"
+
+    def stage(stdin, *bindings):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin + "\n"))
+        code, out, err = run(capsys, "subs", "-", *bindings, "--json")
+        assert (code, err) == (0, "")
+        return out
+
+    assert stage(line, a, x) == stage(stage(line, a), x)
+
+
+def test_handlers_call_the_library_through_the_module_globals(capsys, monkeypatch):
+    # A tracer swaps these names in the module globals; a handler that
+    # captured a function at import would hide its calls from the trace.
+    from sparsepoly import arith
+
+    names = (
+        "parse", "from_json", "render", "canonical_json", "subs", "subvec", "deriv", "series", "trunc"
+    )
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in names:
+        counting(cli, name)
+    counting(arith, "power")
+    json_line = canonical_json(parse("0.5 a"))
+    cases = [
+        (["eval", "x + y"], "", {"parse": 1, "render": 1}),
+        (
+            ["eval", "-", "--json"],
+            f"{json_line}\nx\n",
+            {"from_json": 1, "parse": 1, "canonical_json": 2},
+        ),
+        (["subs", "-", "a=2", "b=x"], "a b\na\n", {"parse": 4, "subs": 2, "render": 1}),
+        (["subvec", "x y", "x=1,2", "y=3"], "", {"parse": 1, "subvec": 1}),
+        (["deriv", "x^2", "x", "--json"], "", {"parse": 1, "deriv": 1, "canonical_json": 1}),
+        (["series", "x^2 + x y", "x"], "", {"parse": 1, "series": 1}),
+        (["trunc", "x^2 + x", "1"], "", {"parse": 1, "trunc": 1, "render": 1}),
+        (["knight", "2", "--pow", "2"], "", {"power": 1, "render": 1}),
+    ]
+    for argv, stdin, want in cases:
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert calls == want, argv
+
+
 def test_subvec(capsys):
     code, out, _ = run(
         capsys, "subvec", "3 a c + 6 a^2 b^2 + 8 a^2 c^2 + 4 a^4", "a=1", "b=2", "c=1,2,3,4,5"
@@ -599,15 +657,14 @@ def test_reader_that_closes_the_pipe_gets_no_traceback(tmp_path):
     # sparsepoly eval - < lines | head -1: far more output than a pipe holds
     lines = tmp_path / "lines.txt"
     lines.write_text("1 + 2 x + 3 x^2 y + 4 y^3 z^-1\n" * 20000)
-    with open(lines) as stdin:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "sparsepoly", "eval", "-"],
-            env=_fresh_env(),
-            stdin=stdin,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+    with open(lines) as stdin, subprocess.Popen(
+        [sys.executable, "-m", "sparsepoly", "eval", "-"],
+        env=_fresh_env(),
+        stdin=stdin,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

@@ -198,10 +198,10 @@ def test_canonical_json_extreme_powers_match_the_term_loop():
 
 
 def _subs_loop(p: Mvp, bindings) -> Mvp:
-    terms = p._canonical()
+    # One step per binding, each reading the last result in canonical order.
     for s, value in bindings:
-        terms = substitute_one_loop(terms, s, value)
-    return Mvp._from_clean(terms)
+        p = Mvp._from_clean(substitute_one_loop(p._canonical(), s, value))
+    return p
 
 
 def random_value(rng: random.Random) -> Mvp:
@@ -225,6 +225,43 @@ def test_subs_matches_the_term_loop(seed):
         assert stored(got[1]._terms) == stored(want[1]._terms)
     else:
         assert got[1] == want[1]
+
+
+def hexed(p: Mvp) -> list:
+    """The stored terms with each coefficient's exact bits."""
+    return [(t, c.hex()) for t, c in p._terms.items()]
+
+
+def random_nonneg_float_mvp(rng: random.Random, max_terms: int) -> Mvp:
+    """Powers 1..3 on up to 3 symbols, so a polynomial may be substituted
+    for any symbol, and coefficients in -1..1, so chained products stay
+    small and finite."""
+    pairs = []
+    for _ in range(rng.randint(1, max_terms)):
+        term = {s: rng.randint(1, 3) for s in rng.sample(SYMBOLS, rng.randint(0, 3))}
+        pairs.append((term, rng.uniform(-1, 1)))
+    return Mvp(pairs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_subs_with_several_bindings_is_the_composed_calls(seed):
+    rng = random.Random(f"subs-chain:{seed}")
+    p = random_nonneg_float_mvp(rng, 8)
+    bindings = [
+        (rng.choice(SYMBOLS), random_nonneg_float_mvp(rng, 3)) for _ in range(rng.randint(2, 3))
+    ]
+    composed = p
+    for b in bindings:
+        composed = subs(composed, [b], lose=False)
+    assert hexed(subs(p, bindings, lose=False)) == hexed(composed)
+
+
+def test_subs_with_two_bindings_is_the_composed_calls_on_a_fixed_case():
+    p = parse("-a^2 x y^2 + a^3 + b^3 - x^3 y")
+    a, x = parse("0.3 x + 0.33 y^2 + 0.7 b"), parse("0.1 + 0.14 a + 2.3 y")
+    one = subs(p, [("a", a), ("x", x)], lose=False)
+    assert hexed(one) == hexed(subs(subs(p, a=a, lose=False), x=x, lose=False))
+    assert len(one) == 43
 
 
 def test_subs_multiplies_no_group_without_the_bound_symbol(monkeypatch):

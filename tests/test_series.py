@@ -1,6 +1,7 @@
 """Truncation, extraction, and series decomposition."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -74,6 +75,18 @@ def test_trunc1_two_limits_against_independent_filter():
     got = trunc1(X, x=3, y=0)
     assert got == expected
     assert render(got) == "1 + 3 x + 3 x^2 + x^3"
+
+
+def test_trunc1_refuses_a_nan_limit_before_reading_terms():
+    import numpy as np
+
+    for p in (X, Mvp()):
+        with pytest.raises(ValueError, match="limit for 'x' is NaN"):
+            trunc1(p, x=float("nan"))
+    with pytest.raises(ValueError, match="'y'"):
+        trunc1(X, x=3, y=np.float64("nan"))
+    assert trunc1(X, x=math.inf) == X
+    assert trunc1(X, x=-math.inf) == Mvp()
 
 
 def test_trunc1_accepts_float_and_numpy_limits():
