@@ -86,12 +86,15 @@ def _emit(value, args) -> str:
     """A handler's result as one output line.
 
     Text stays as it is and a number is formatted; a polynomial is
-    rendered, or written as canonical JSON under ``--json``.
+    rendered.  Under ``--json`` a number is written as the canonical JSON
+    of its constant polynomial, and so is a polynomial, without rounding.
     """
     if isinstance(value, str):
         return value
     if not isinstance(value, Mvp):
-        return format_number(value)
+        if not args.json:
+            return format_number(value)
+        value = Mvp.from_number(value)
     if args.json:
         return canonical_json(value)
     text = render(value, order=args.order, varorder=args.varorder)

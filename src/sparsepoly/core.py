@@ -200,6 +200,13 @@ def group_by_power(terms: dict, symbol: str) -> dict[int, dict]:
     return groups
 
 
+def _coefficient(c) -> float:
+    """``float(c)`` of a number; TypeError for text, which it would parse."""
+    if isinstance(c, (str, bytes, bytearray)):
+        raise TypeError(f"coefficient must be a number, not {type(c).__name__}: {c!r}")
+    return float(c)
+
+
 def add_terms(out: dict, pairs) -> dict:
     """Add each (term, coefficient) pair into ``out``; return ``out``.
 
@@ -228,6 +235,12 @@ class Mvp:
     whose coefficient would overflow a double raises OverflowError.
     Supports the ring operators ``+ - * **`` with polynomial or numeric
     operands, and ``/`` by a number.
+
+    ``Mvp(terms)`` takes a mapping or an iterable of (term, coefficient)
+    pairs.  A coefficient is any number ``float()`` accepts; a ``str``,
+    ``bytes`` or ``bytearray`` raises TypeError, since ``float()`` would
+    parse the text.  ``accumulate``, ``Mvp.monomial`` and
+    ``Mvp.from_number`` keep the same rule.
     """
 
     # _terms is in canonical order once _ordered is set.
@@ -237,7 +250,10 @@ class Mvp:
         data: dict[Term, float] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            add_terms(data, ((normalize_term(t), float(c)) for t, c in items))
+            add_terms(
+                data,
+                ((normalize_term(t), c if type(c) is float else _coefficient(c)) for t, c in items),
+            )
         self._terms = check_finite(data)
         self._ordered = len(data) < 2
 
@@ -273,13 +289,13 @@ class Mvp:
 
     @classmethod
     def from_number(cls, value) -> "Mvp":
-        value = float(value)
+        value = _coefficient(value)
         return cls._from_clean({} if value == 0.0 else {(): value})
 
     @classmethod
     def monomial(cls, symbol: str, power: int, coeff: float = 1.0) -> "Mvp":
         t = normalize_term([(symbol, power)])
-        coeff = float(coeff)
+        coeff = _coefficient(coeff)
         return cls._from_clean({} if coeff == 0.0 else {t: coeff})
 
     def terms(self) -> Iterator[tuple[Term, float]]:
@@ -408,7 +424,7 @@ def accumulate(p: Mvp, term, coeff: float) -> Mvp:
     coefficient plus ``coeff``, with the entry removed when the sum is
     exactly 0.0.  ``coeff == 0`` is a no-op.
     """
-    return Mvp._from_clean(add_terms(dict(p._terms), [(normalize_term(term), float(coeff))]))
+    return Mvp._from_clean(add_terms(dict(p._terms), [(normalize_term(term), _coefficient(coeff))]))
 
 
 def constant(p: Mvp) -> float:

@@ -11,15 +11,26 @@ equality.
 from __future__ import annotations
 
 import contextlib
+import math
+import operator
 import random
 import signal
+import struct
 
 import numpy as np
 
 from sparsepoly import Mvp
-from sparsepoly._kernel import mul_terms, pow_terms
+from sparsepoly._kernel import _DECODE_CHUNK, _distinct, mul_terms, pow_terms
 from sparsepoly.core import (
-    add_terms, check_power, constant, group_by_power, power_of, require_symbol, split_term,
+    INT64_MAX,
+    INT64_MIN,
+    add_terms,
+    check_power,
+    constant,
+    group_by_power,
+    power_of,
+    require_symbol,
+    split_term,
 )
 
 
@@ -83,6 +94,27 @@ def random_mvp(
     return Mvp(pairs)
 
 
+def random_float_mvp(rng: random.Random, n_terms: int, digits: int | None = None) -> Mvp:
+    """Random Laurent polynomial of up to ``n_terms`` distinct terms over
+    ``a``-``e``, powers reaching the signed 64-bit ends.  Coefficients are
+    any finite nonzero double, drawn from random bits, or with ``digits`` a
+    nonzero integer of at most that many digits times a power of ten in
+    [1e-30, 1e30]."""
+    terms = {}
+    for _ in range(n_terms):
+        powers = rng.choice((range(-3, 4), (INT64_MIN, -1, 1, INT64_MAX)))
+        chosen = rng.sample("abcde", rng.randint(0, 4))
+        t = tuple(sorted((s, k) for s in chosen if (k := rng.choice(powers))))
+        if digits is None:
+            c = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        else:
+            mantissa = rng.randint(1, 10**digits - 1) * rng.choice((1, -1))
+            c = float(f"{mantissa}e{rng.randint(-30, 30)}")
+        if math.isfinite(c) and c != 0.0:
+            terms[t] = c
+    return Mvp(terms)
+
+
 def random_nonneg_mvp(rng: random.Random, symbols: str = "abcd", max_terms: int = 6) -> Mvp:
     return random_mvp(rng, symbols, max_terms, power_lo=1, power_hi=3)
 
@@ -109,8 +141,9 @@ def time_limit(seconds: float):
 
 
 # Frozen copies of the per-term loops that subvec, deriv, canonical_json,
-# subs, onevarpow and pow_terms replaced.  The differential tests require
-# the library to give the same bits, stored order and errors as these.
+# subs, onevarpow, pow_terms and the packed decode replaced.  The
+# differential tests require the library to give the same bits, stored
+# order and errors as these.
 
 
 def subvec_loop(p: Mvp, vectors: dict) -> np.ndarray:
@@ -238,3 +271,59 @@ def pow_terms_loop(terms: dict, n: int, mul=mul_terms) -> dict:
         if not n:
             return result
         terms = mul(terms, terms)
+
+
+def decode_terms_loop(keys, coeffs, columns):
+    """The packed decode with a Python call per term: each half's terms are
+    a list read through ``map``, and ``map(operator.add, ...)`` joins them."""
+    size = math.prod([span for _, _, span in columns])
+    split, high_terms, low_terms = _halves_loop(keys, size, columns)
+    out = {}
+    for i in range(0, len(keys), _DECODE_CHUNK):
+        chunk = slice(i, i + _DECODE_CHUNK)
+        high, low = np.divmod(keys[chunk], split)
+        out.update(zip(map(operator.add, high_terms(high), low_terms(low)), coeffs[chunk].tolist()))
+    return out
+
+
+def _halves_loop(keys, size, columns):
+    cut = len(columns)
+    split = 1
+    while cut > 1 and split * split < size:
+        cut -= 1
+        split *= columns[cut][2]
+    high, low = np.divmod(keys, split)
+    return (
+        split,
+        _half_terms_loop(high, size // split, columns[:cut]),
+        _half_terms_loop(low, split, columns[cut:]),
+    )
+
+
+def _half_terms_loop(halves, size, columns):
+    if size <= len(halves):
+        present = np.zeros(size, dtype=bool)
+        present[halves] = True
+        terms = [None] * size
+        for key in np.flatnonzero(present).tolist():
+            terms[key] = _decode_loop(key, columns)
+        return lambda chunk: map(terms.__getitem__, chunk.tolist())
+    occurring = _distinct(halves)
+    if len(columns) == 1:
+        [(s, low, _)] = columns
+        terms = [((s, k),) if k else () for k in (occurring + low).tolist()]
+    else:
+        split, high_terms, low_terms = _halves_loop(occurring, size, columns)
+        high, low = np.divmod(occurring, split)
+        terms = list(map(operator.add, high_terms(high), low_terms(low)))
+    return lambda chunk: map(terms.__getitem__, np.searchsorted(occurring, chunk).tolist())
+
+
+def _decode_loop(key, columns):
+    pairs = []
+    for s, low, span in reversed(columns):
+        key, digit = divmod(key, span)
+        if digit + low:
+            pairs.append((s, digit + low))
+    pairs.reverse()
+    return tuple(pairs)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 
 import sparsepoly
 import sparsepoly.cli as cli
-from helpers import time_limit
-from sparsepoly import HashMismatch, canonical_json, knight, parse, rmvp
+from helpers import random_mvp, time_limit
+from sparsepoly import (
+    HashMismatch, canonical_json, constant, expected_distance, from_json, knight, parse, rmvp, subs,
+)
 
 KNIGHT2 = (
     "a^-2 b^-1 + a^-2 b + a^-1 b^-2 + a^-1 b^2 + a b^-2 + a b^2"
@@ -132,6 +135,67 @@ def test_json_lines_on_stdin_are_lossless(capsys, monkeypatch):
     code, out, _ = run(capsys, "subs", "-", "a=2")
     assert code == 0
     assert out == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, want, text",
+    [
+        (
+            ("subs", "a b", "a=0.1234567891", "b=1"),
+            lambda: subs(parse("a b"), a=0.1234567891, b=1),
+            "0.1234568",
+        ),
+        (("subs", "a b", "a=0", "b=1"), lambda: subs(parse("a b"), a=0, b=1), "0"),
+        (("knight", "3", "--pow", "2", "--constant"), lambda: constant(knight(3) ** 2), "24"),
+        (
+            ("knight", "3", "--pow", "2", "--expected-distance"),
+            lambda: expected_distance(knight(3) ** 2),
+            "2.963204",
+        ),
+    ],
+)
+def test_json_number_results_pipe_on_without_rounding(capsys, monkeypatch, argv, want, text):
+    # Without --json a number is printed to 7 significant digits.
+    assert run(capsys, *argv) == (0, text, "")
+    code, first, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(first + "\n"))
+    code, out, _ = run(capsys, "eval", "-", "--json")
+    assert (code, out) == (0, first)
+    assert constant(from_json(out)).hex() == float(want()).hex()
+
+
+def _float_poly(seed):
+    # Small powers, so that every stage below has a result to compare.
+    rng = random.Random(seed)
+    terms = random_mvp(rng, "abc", 12, power_lo=-2, power_hi=3)._terms
+    return sparsepoly.Mvp({t: rng.uniform(-2.0, 2.0) / 3.0 for t in terms})
+
+
+_JSON_STAGES = [
+    (("eval",), lambda p: p),
+    (("subs", "a=0.1", "c=0.3"), lambda p: subs(p, a=0.1, c=0.3)),
+    (("deriv", "a", "b"), lambda p: sparsepoly.deriv(p, ["a", "b"])),
+    (("aderiv", "a=1", "c=2"), lambda p: sparsepoly.aderiv(p, {"a": 1, "c": 2})),
+    (("horner", "0.1,0.25,3"), lambda p: sparsepoly.horner(p, [0.1, 0.25, 3.0])),
+    (("trunc", "2"), lambda p: sparsepoly.trunc(p, 2)),
+    (("trunc1", "a=1"), lambda p: sparsepoly.trunc1(p, {"a": 1})),
+    (("onevarpow", "a=1"), lambda p: sparsepoly.onevarpow(p, {"a": 1})),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("argv, library", _JSON_STAGES, ids=[a[0] for a, _ in _JSON_STAGES])
+def test_a_json_stage_reads_the_last_one_without_rounding(capsys, monkeypatch, seed, argv, library):
+    p = _float_poly(seed)
+    monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(p) + "\n"))
+    code, out, err = run(capsys, argv[0], "-", *argv[1:], "--json")
+    assert (code, err) == (0, "")
+    want = library(p)
+    if not isinstance(want, sparsepoly.Mvp):
+        want = sparsepoly.Mvp.from_number(want)
+    got = from_json(out)
+    assert [(t, c.hex()) for t, c in got.terms()] == [(t, c.hex()) for t, c in want.terms()]
 
 
 def test_subs_with_two_bindings_prints_the_bytes_of_two_piped_stages(capsys, monkeypatch):

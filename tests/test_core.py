@@ -2,12 +2,14 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies
+from helpers import random_float_mvp
 from sparsepoly import (
     Mvp,
     PowerOverflowError,
@@ -92,6 +94,33 @@ def test_normalize_name_memo_is_bounded():
         assert normalize_term([(s, 1)]) == ((s, 1),)
     assert len(core._VALID_NAMES) <= core._VALID_NAMES_MAX
     assert normalize_term([(names[0], 2), ("x", True)]) == ((names[0], 2), ("x", 1))
+
+
+@pytest.mark.parametrize("text", ["3", "nan", "inf", b"3", bytearray(b"3")])
+def test_text_coefficients_are_refused(text):
+    term = (("x", 1),)
+    for make in (
+        lambda: Mvp({term: text}),
+        lambda: Mvp([(term, text)]),
+        lambda: Mvp.monomial("x", 1, text),
+        lambda: Mvp.from_number(text),
+        lambda: accumulate(parse("x"), term, text),
+    ):
+        with pytest.raises(TypeError, match="coefficient must be a number"):
+            make()
+    if isinstance(text, str):
+        with pytest.raises(ValueError):
+            from_json('{"terms":[{"powers":{"x":1},"coeff":"%s"}]}' % text)
+
+
+def test_number_coefficients_are_taken_through_float():
+    class Half:
+        def __float__(self):
+            return 0.5
+
+    p = Mvp({(("x", 1),): 3, (("y", 1),): Half(), (("z", 1),): True})
+    assert [type(c) for c in p._terms.values()] == [float, float, float]
+    assert p == parse("3 x + 0.5 y + z")
 
 
 def test_accumulate_into_zero():
@@ -254,6 +283,19 @@ def test_canonical_json_of_zero_and_a_constant():
 @given(strategies.mvps)
 def test_json_roundtrip(p):
     assert from_json(canonical_json(p)) == p
+
+
+def _canonical_rows(p):
+    # Canonical order, with each coefficient's exact bits.
+    return [(t, c.hex()) for t, c in p._canonical().items()]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_roundtrip_keeps_every_bit(seed):
+    p = random_float_mvp(random.Random(seed), 30)
+    q = from_json(canonical_json(p))
+    assert list(q._terms) == list(q._canonical())  # stored in canonical order
+    assert _canonical_rows(q) == _canonical_rows(p)
 
 
 def test_from_json_rejects_garbage():

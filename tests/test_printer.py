@@ -1,9 +1,12 @@
 """Rendering: number formatting, term order, series display."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 import strategies
+from helpers import random_float_mvp
 from sparsepoly import Mvp, format_number, parse, render, render_series, series
 
 
@@ -125,3 +128,13 @@ def test_roundtrip_canonical(p):
 @given(strategies.mvps)
 def test_roundtrip_lex(p):
     assert parse(render(p, order="lex", varorder=list("dcba"))) == p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_roundtrip_seven_digit_coefficients(seed):
+    # render rounds to 7 significant digits, so a coefficient with at most
+    # 7 parses back bit for bit, powers at the signed 64-bit ends included.
+    p = random_float_mvp(random.Random(seed), 30, digits=7)
+    rows = [(t, c.hex()) for t, c in p.terms()]
+    for text in (render(p), render(p, order="lex", varorder=p.symbols()[::-1])):
+        assert [(t, c.hex()) for t, c in parse(text).terms()] == rows
