@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 
 from ._kernel import mul_terms, pow_terms
-from .core import Mvp, add_terms
+from .core import Mvp, _coefficient, add_terms
 
 
 def add(p: Mvp, q: Mvp) -> Mvp:
@@ -23,13 +23,13 @@ def subtract(p: Mvp, q: Mvp) -> Mvp:
 
 def scale(p: Mvp, factor: float) -> Mvp:
     """Multiply every coefficient by a number."""
-    factor = float(factor)
+    factor = _coefficient(factor)
     return Mvp._from_clean({t: q for t, c in p._terms.items() if (q := c * factor) != 0.0})
 
 
 def divide(p: Mvp, d: float) -> Mvp:
     """Divide every coefficient by a nonzero number; underflows to 0.0 go."""
-    d = float(d)
+    d = _coefficient(d)
     if d == 0.0:
         raise ZeroDivisionError("polynomial division by zero")
     return Mvp._from_clean({t: q for t, c in p._terms.items() if (q := c / d) != 0.0})

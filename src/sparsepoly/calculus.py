@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import operator
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .core import Mvp, check_finite, check_power, require_symbol
+from .core import Mvp, _coefficient, check_finite, check_power, named_pairs, require_symbol
 from .parser import parse_or_lift
 
 
@@ -46,21 +46,20 @@ def deriv(p: Mvp, variables: Union[str, Sequence[str]]) -> Mvp:
     return Mvp._from_clean(terms)
 
 
-def aderiv(p: Mvp, orders: Optional[dict] = None, **by_name) -> Mvp:
+def aderiv(p: Mvp, orders=None, **by_name) -> Mvp:
     """Mixed partial of the given order per symbol.
 
     ``aderiv(p, a=3, c=2)`` differentiates three times by ``a`` and twice
-    by ``c``; equivalent to ``deriv`` with each symbol repeated.  Orders
+    by ``c``; equivalent to ``deriv`` with each symbol repeated.  ``orders``
+    and the keywords are read by ``named_pairs``; a repeated symbol keeps
+    its last order, and every name is checked before any order.  Orders
     must be nonnegative (order 0 is a no-op).  Differentiation stops once
     the polynomial is zero, and raises OverflowError at the step where a
     coefficient overflows a double, so any order takes at most a few
     hundred steps per symbol: ``aderiv(x, x=10**9)`` is 0 at once.
     """
-    merged = dict(orders or {})
-    merged.update(by_name)
     counts = []
-    for s, k in merged.items():
-        require_symbol(s)
+    for s, k in dict(named_pairs(orders, by_name)).items():
         k = operator.index(k)
         if k < 0:
             raise ValueError(f"derivative order for {s!r} must be nonnegative, got {k}")
@@ -77,7 +76,7 @@ def aderiv(p: Mvp, orders: Optional[dict] = None, **by_name) -> Mvp:
 def horner(base: Union[Mvp, str], coeffs: Sequence[float]) -> Mvp:
     """Sum of coeffs[i] * base**i evaluated by Horner's nested scheme."""
     b = parse_or_lift(base)
-    cs = [float(c) for c in coeffs]
+    cs = [_coefficient(c) for c in coeffs]
     if not cs:
         raise ValueError("horner needs at least one coefficient")
     acc = Mvp.from_number(cs[-1])

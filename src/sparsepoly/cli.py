@@ -108,7 +108,7 @@ def _knight(_, args):
     if args.constant:
         return constant(k)
     if args.onevarpow:
-        return onevarpow(k, dict(_int_assignment(t) for t in args.onevarpow.split(",")))
+        return onevarpow(k, map(_int_assignment, args.onevarpow.split(",")))
     if args.expected_distance:
         return expected_distance(k)
     return k
@@ -175,7 +175,7 @@ def _build_parser() -> _Parser:
     p = command("deriv", "successive partial derivatives", lambda p, a: deriv(p, a.variables))
     p.add_argument("variables", nargs="+", metavar="VAR")
 
-    p = command("aderiv", "mixed partial of given orders", lambda p, a: aderiv(p, dict(a.orders)))
+    p = command("aderiv", "mixed partial of given orders", lambda p, a: aderiv(p, a.orders))
     p.add_argument("orders", nargs="+", metavar="name=k", type=_int_assignment)
 
     p = command(
@@ -187,14 +187,14 @@ def _build_parser() -> _Parser:
     p.add_argument("degree", type=int)
 
     p = command(
-        "trunc1", "keep terms with per-symbol power <= limit", lambda p, a: trunc1(p, dict(a.limits))
+        "trunc1", "keep terms with per-symbol power <= limit", lambda p, a: trunc1(p, a.limits)
     )
     p.add_argument("limits", nargs="+", metavar="name=k", type=_int_assignment)
 
     p = command(
         "onevarpow",
         "extract the factor of an exact power pattern",
-        lambda p, a: onevarpow(p, dict(a.targets)),
+        lambda p, a: onevarpow(p, a.targets),
     )
     p.add_argument("targets", nargs="+", metavar="name=k", type=_int_assignment)
 
@@ -254,7 +254,7 @@ def _run(args) -> list[str]:
     elif args.command == "subs":
         args.bindings = [(s, parse(v)) for s, v in map(_split_assignment, args.bindings)]
     elif args.command == "subvec":
-        args.bindings = {s: _number_list(v) for s, v in map(_split_assignment, args.bindings)}
+        args.bindings = [(s, _number_list(v)) for s, v in map(_split_assignment, args.bindings)]
     inputs = _polys(args.expr) if "expr" in args else [None]
     return [_emit(args.run(p, args), args) for p in inputs]
 

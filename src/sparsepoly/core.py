@@ -24,6 +24,7 @@ import operator
 import re
 import sys
 from collections.abc import Iterator, Mapping
+from itertools import chain
 
 Symbol = str
 
@@ -97,6 +98,25 @@ def require_symbol(name: str) -> str:
     if not isinstance(name, str) or not _SYMBOL_RE.match(name):
         raise ValueError(f"invalid symbol name: {name!r}")
     return name if type(name) is str else str.__str__(name)
+
+
+def named_pairs(given, by_name: dict) -> list:
+    """The (symbol, value) pairs of a ``(given, **by_name)`` call, in order.
+
+    ``given`` is None, a mapping (read as its items) or an iterable of
+    pairs; the keywords follow.  Every symbol passes ``require_symbol``
+    before the caller reads a value.  Text in place of pairs: TypeError.
+    """
+    if isinstance(given, Mapping):
+        given = given.items()
+    pairs = map(_not_text, chain(_not_text(given) or (), by_name.items()))
+    return [(require_symbol(s), v) for s, v in pairs]
+
+
+def _not_text(x):
+    if isinstance(x, (str, bytes, bytearray)):
+        raise TypeError(f"expected (symbol, value) pairs, got {type(x).__name__}: {x!r}")
+    return x
 
 
 def check_finite(terms: dict) -> dict:
@@ -239,8 +259,8 @@ class Mvp:
     ``Mvp(terms)`` takes a mapping or an iterable of (term, coefficient)
     pairs.  A coefficient is any number ``float()`` accepts; a ``str``,
     ``bytes`` or ``bytearray`` raises TypeError, since ``float()`` would
-    parse the text.  ``accumulate``, ``Mvp.monomial`` and
-    ``Mvp.from_number`` keep the same rule.
+    parse the text.  ``accumulate``, ``Mvp.monomial``, ``Mvp.from_number``,
+    ``scale``, ``divide``, ``set_coeffs`` and ``horner`` keep the same rule.
     """
 
     # _terms is in canonical order once _ordered is set.

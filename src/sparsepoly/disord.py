@@ -14,9 +14,10 @@ both length and provenance, so the hash survives.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple
 
-from .core import Mvp, canonical_json
+from .core import Mvp, _coefficient, canonical_json
 
 
 class HashMismatch(Exception):
@@ -55,13 +56,28 @@ def provenance_hash(p: Mvp) -> str:
     return _digest(canonical_json(p))
 
 
+def _elementwise(f: Callable) -> tuple:
+    """``f`` as a Disord method and its reflected form (scalar on the left)."""
+
+    def method(self, other):
+        if isinstance(other, Disord):
+            return self.zip_with(other, f)
+        return self.map(lambda v: f(v, other))
+
+    def reflected(self, other):
+        return self.map(lambda v: f(other, v))
+
+    return method, reflected
+
+
 class Disord:
     """A sequence of values whose order carries no external meaning.
 
-    Elementwise operators (``+ - * / ** < > <= >= ==``) work against a
-    scalar or against another Disord with the same hash; indexing with a
-    boolean-mask Disord filters.  Use ``assign`` to build a modified copy
-    and ``set_coeffs`` to write coefficients back into a polynomial.
+    Elementwise operators (``+ - * / ** < > <= >=``) work against a scalar
+    on either side or against another Disord with the same hash, and
+    ``==`` compares whole collections; indexing with a boolean-mask Disord
+    filters.  Use ``assign`` to build a modified copy and ``set_coeffs``
+    to write coefficients back into a polynomial.
     """
 
     __slots__ = ("_values", "_hash")
@@ -98,67 +114,40 @@ class Disord:
             (f(a, b) for a, b in zip(self._values, other._values)), self._hash
         )
 
-    def _binary(self, other, f):
-        if isinstance(other, Disord):
-            return self.zip_with(other, f)
-        return self.map(lambda v: f(v, other))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self.map(lambda v: other + v)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self.map(lambda v: other - v)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return self.map(lambda v: other * v)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __pow__(self, other):
-        return self._binary(other, lambda a, b: a**b)
+    __add__, __radd__ = _elementwise(operator.add)
+    __sub__, __rsub__ = _elementwise(operator.sub)
+    __mul__, __rmul__ = _elementwise(operator.mul)
+    __truediv__, __rtruediv__ = _elementwise(operator.truediv)
+    __pow__, __rpow__ = _elementwise(operator.pow)
+    # Python turns ``2 < d`` into ``d > 2``: comparisons need no reflection.
+    __lt__ = _elementwise(operator.lt)[0]
+    __le__ = _elementwise(operator.le)[0]
+    __gt__ = _elementwise(operator.gt)[0]
+    __ge__ = _elementwise(operator.ge)[0]
 
     def __abs__(self):
         return self.map(abs)
 
     def __neg__(self):
-        return self.map(lambda v: -v)
+        return self.map(operator.neg)
 
-    def __lt__(self, other):
-        return self._binary(other, lambda a, b: a < b)
-
-    def __le__(self, other):
-        return self._binary(other, lambda a, b: a <= b)
-
-    def __gt__(self, other):
-        return self._binary(other, lambda a, b: a > b)
-
-    def __ge__(self, other):
-        return self._binary(other, lambda a, b: a >= b)
-
-    def __getitem__(self, mask: "Disord") -> "Disord":
-        return self.filter(mask)
+    def _kept(self, mask: "Disord", what: str) -> list:
+        """The positions a same-hash boolean mask keeps."""
+        if not isinstance(mask, Disord):
+            raise TypeError(f"{what} needs a boolean-mask Disord")
+        if self._hash != mask._hash:
+            raise HashMismatch(self._hash, mask._hash)
+        return [i for i, keep in enumerate(mask._values) if keep]
 
     def filter(self, mask: "Disord") -> "Disord":
         """Keep elements where the mask is true; the result is a new,
         shorter collection and carries a fresh hash."""
-        if not isinstance(mask, Disord):
-            raise TypeError("filtering needs a boolean-mask Disord")
-        if self._hash != mask._hash:
-            raise HashMismatch(self._hash, mask._hash)
-        kept = [i for i, keep in enumerate(mask._values) if keep]
+        kept = self._kept(mask, "filtering")
         return Disord(
             (self._values[i] for i in kept), _filtered_hash(self._hash, kept)
         )
+
+    __getitem__ = filter
 
     def assign(self, mask: "Disord", replacement) -> "Disord":
         """Replace the masked positions; provenance is preserved.
@@ -168,12 +157,7 @@ class Disord:
         Disord carrying the filtered subset's hash (one value per masked
         position, in order).
         """
-        if not isinstance(mask, Disord):
-            raise TypeError("assign needs a boolean-mask Disord")
-        if self._hash != mask._hash:
-            raise HashMismatch(self._hash, mask._hash)
-        kept = [i for i, keep in enumerate(mask._values) if keep]
-
+        kept = self._kept(mask, "assign")
         values = list(self._values)
         if isinstance(replacement, Disord):
             if replacement._hash == self._hash:
@@ -263,7 +247,7 @@ def set_coeffs(p: Mvp, d: Disord) -> Mvp:
         )
     out = {}
     for (t, _), c in zip(p.terms(), d.values):
-        c = float(c)
+        c = c if type(c) is float else _coefficient(c)
         if c != 0.0:
             out[t] = c
     return Mvp._from_clean(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from .core import Mvp, Record, group_by_power, power_of, require_symbol, total_degree
+from .core import Mvp, Record, group_by_power, named_pairs, power_of, require_symbol, total_degree
 from .parser import parse
 from .transform import subs
 
@@ -46,21 +46,21 @@ def trunc(p: Mvp, n: int) -> Mvp:
     )
 
 
-def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
+def trunc1(p: Mvp, limits=None, **by_name) -> Mvp:
     """Keep terms whose power of each listed symbol is at most its limit.
 
-    A symbol absent from a term counts as power 0.  A limit may be any real
-    number, a float included, and an infinite one keeps or drops every
-    term.  An invalid symbol name or a NaN limit raises ValueError, and a
-    limit that is not a real number TypeError naming its symbol, before
-    any term is read.
+    ``limits`` and the keywords are read by ``named_pairs``; a repeated
+    symbol keeps its last limit.  A symbol absent from a term counts as
+    power 0.  A limit may be any real number, a float included, and an
+    infinite one keeps or drops every term.  An invalid symbol name or a
+    NaN limit raises ValueError, and a limit that is not a real number
+    TypeError naming its symbol, before any term is read; every name is
+    checked before any limit.
     """
     import numbers
 
-    merged = dict(limits or {})
-    merged.update(by_name)
+    merged = dict(named_pairs(limits, by_name))
     for s, lim in merged.items():
-        require_symbol(s)
         if not isinstance(lim, numbers.Real):
             raise TypeError(f"limit for {s!r} must be a real number, got {lim!r}")
         if lim != lim:  # NaN, the one real unequal to itself
@@ -73,20 +73,20 @@ def trunc1(p: Mvp, limits: Optional[dict] = None, **by_name) -> Mvp:
     return Mvp._from_clean(out)
 
 
-def onevarpow(p: Mvp, targets: Optional[dict] = None, **by_name) -> Mvp:
+def onevarpow(p: Mvp, targets=None, **by_name) -> Mvp:
     """Extract the coefficient polynomial of an exact power pattern.
 
     Keeps the terms whose power of each target symbol equals the target
     exactly (absent counting as 0), then deletes those symbols from what
     remains: the result is the factor multiplying the requested monomial,
-    in the input's stored term order.  An invalid symbol name raises
-    ValueError, and a target that is not an integer (``operator.index``
-    refuses it: a float, a string, None) TypeError naming its symbol, before
-    any term is read.
+    in the input's stored term order.  ``targets`` and the keywords are
+    read by ``named_pairs``; a repeated symbol keeps its last target.  An
+    invalid symbol name raises ValueError, and a target that is not an
+    integer (``operator.index`` refuses it: a float, a string, None)
+    TypeError naming its symbol, before any term is read; every name is
+    checked before any target.
     """
-    merged = dict(targets or {})
-    merged.update(by_name)
-    merged = {require_symbol(s): _target(s, k) for s, k in merged.items()}
+    merged = {s: _target(s, k) for s, k in dict(named_pairs(targets, by_name)).items()}
     # Stored powers are nonzero, so a term matches when its pairs on the
     # target symbols are exactly the nonzero targets, in symbol order.
     want = sorted(pair for pair in merged.items() if pair[1] != 0)

@@ -1,24 +1,23 @@
 """Substitution (sequential and vectorised) and power negation.
 
-Bindings are an ordered list, not a mapping: applying ``a -> x^6`` then
-``x -> 1+a`` differs from the reverse order, so order is part of the
-contract.  Keyword arguments are a convenience that preserves call order.
+Bindings are applied in order: ``a -> x^6`` then ``x -> 1+a`` differs
+from the reverse order, so order is part of the contract.  A mapping is
+read as its items, and keyword arguments follow in call order.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Sequence
 
 from ._kernel import mul_terms, pow_terms
 from .core import (
-    Mvp, Record, add_terms, check_power, constant, group_by_power, require_symbol, split_term,
+    Mvp, Record, add_terms, check_power, constant, group_by_power, named_pairs, split_term,
 )
 from .parser import parse_or_lift
 
 
 class Binding(Record):
-    """One substitution step: replace ``symbol`` by ``value`` everywhere."""
+    """One substitution step: replace ``symbol`` by ``value``; iterates as that pair."""
 
     __slots__ = __match_args__ = ("symbol", "value")
 
@@ -26,12 +25,8 @@ class Binding(Record):
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "value", value)
 
-
-def _as_bindings(pairs, by_name) -> list[Binding]:
-    out = []
-    for symbol, value in list(pairs or []) + list(by_name.items()):
-        out.append(Binding(require_symbol(symbol), parse_or_lift(value)))
-    return out
+    def __iter__(self):
+        return iter((self.symbol, self.value))
 
 
 def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
@@ -78,22 +73,24 @@ def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:
     return out
 
 
-def subs(p: Mvp, bindings: Optional[Sequence] = None, *, lose: bool = True, **by_name):
+def subs(p: Mvp, bindings=None, *, lose: bool = True, **by_name):
     """Apply substitutions strictly left to right.
 
-    ``bindings`` is a sequence of (symbol, value) pairs; keyword arguments
-    are appended in call order.  Values may be polynomials, strings (parsed),
-    or numbers.  With ``lose`` (the default) a constant result is returned
-    as a plain scalar rather than a polynomial.
+    ``bindings`` is a mapping, read as its items, or an iterable of
+    (symbol, value) pairs, ``Binding`` included; keyword arguments are
+    appended in call order (``named_pairs``).  Values may be polynomials,
+    strings (parsed), or numbers.  With ``lose`` (the default) a constant
+    result is returned as a plain scalar rather than a polynomial.
 
     Every value is read before the first step, and each step is one
     single-binding call: ``subs(p, [b1, b2], lose=False)`` equals
     ``subs(subs(p, [b1], lose=False), [b2], lose=False)`` to the bit, in
     stored order too, and an overflow at a middle step raises there.
     """
-    for b in _as_bindings(bindings, by_name):
+    steps = [(s, parse_or_lift(v)) for s, v in named_pairs(bindings, by_name)]
+    for s, value in steps:
         # Read in canonical order: a term's residue can collect several terms.
-        p = Mvp._from_clean(_substitute_one(p._canonical(), b.symbol, b.value))
+        p = Mvp._from_clean(_substitute_one(p._canonical(), s, value))
     if lose and p.is_constant:
         return constant(p)
     return p
@@ -104,16 +101,17 @@ def subs(p: Mvp, bindings: Optional[Sequence] = None, *, lose: bool = True, **by
 _SUBVEC_BLOCK = 1 << 16
 
 
-def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
+def subvec(p: Mvp, bindings=None, **by_name) -> np.ndarray:
     """Evaluate at vectors of numeric values, one result per component.
 
-    Every symbol of ``p`` must be bound, each to a number or a 1-D
-    sequence of numbers (anything else raises ValueError naming the
-    symbol); vectors must share one length (length-1 values are
-    recycled).  Negative powers evaluate as real reciprocals, and a zero
-    component under a negative power raises ZeroDivisionError.  Raises
-    ValueError on a non-finite value and OverflowError when a result
-    overflows a double.
+    ``bindings`` and the keywords are read by ``named_pairs``; a repeated
+    symbol keeps its last value.  Every symbol of ``p`` must be bound,
+    each to a number or a 1-D sequence of numbers (anything else raises
+    ValueError naming the symbol); vectors must share one length
+    (length-1 values are recycled).  Negative powers evaluate as real
+    reciprocals, and a zero component under a negative power raises
+    ZeroDivisionError.  Raises ValueError on a non-finite value and
+    OverflowError when a result overflows a double.
 
     Works on blocks of terms in canonical order (and, for long vectors,
     of components), so temporaries stay a few blocks in size.  Within a
@@ -128,10 +126,7 @@ def subvec(p: Mvp, bindings: Optional[dict] = None, **by_name) -> np.ndarray:
     # import time, and only this function needs it.
     import numpy as np
 
-    supplied = dict(bindings or {})
-    supplied.update(by_name)
-    for s in supplied:
-        require_symbol(s)
+    supplied = dict(named_pairs(bindings, by_name))
     vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in supplied.items()}
     for s, v in vectors.items():
         if v.ndim != 1:

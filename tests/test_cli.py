@@ -386,6 +386,12 @@ def test_knight_rejects_dimension_zero(capsys):
     assert "dimension" in err
 
 
+def test_knight_rejects_dimension_past_the_alphabet():
+    assert len(knight(26)) == 4 * 26 * 25
+    with pytest.raises(ValueError, match="dimension capped at 26"):
+        knight(27)
+
+
 def test_knight_constant(capsys):
     # number of two-move round trips in 2D: each move paired with its inverse
     moves = [
@@ -473,6 +479,22 @@ def test_rmvp_alphabet_names(capsys):
     code, out, _ = run(capsys, "rmvp", "6", "2", "2", "u,v", "--seed", "7")
     assert code == 0
     assert set(parse(out).symbols()) <= {"u", "v"}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 1, 1, 3), "rmvp arguments must be positive"),
+        ((1, 0, 1, 3), "rmvp arguments must be positive"),
+        ((1, 1, 0, 3), "rmvp arguments must be positive"),
+        ((1, 1, 1, 0), "alphabet size must be between 1 and 26"),
+        ((1, 1, 1, 27), "alphabet size must be between 1 and 26"),
+        ((1, 1, 1, []), "alphabet must not be empty"),
+    ],
+)
+def test_rmvp_rejects_bad_sizes(args, message):
+    with pytest.raises(ValueError, match=message):
+        rmvp(*args)
 
 
 def test_rmvp_rejects_invalid_alphabet_names(capsys):
@@ -650,25 +672,28 @@ def test_a_power_on_the_dict_path_loads_no_numpy():
 
 
 def test_import_and_subs_stage_load_no_unused_stdlib_module():
-    # Standard-library modules that a text pipeline never runs.  Each CLI
-    # stage is a new interpreter, so importing one costs every stage.
-    lazy = ["dataclasses", "inspect", "hashlib", "decimal", "json"]
-    # The perfbench tracer reads these from sys.modules right after
-    # ``import sparsepoly``, so the package must keep importing them.
-    layers = [
-        "_kernel", "arith", "parser", "printer", "core",
-        "disord", "transform", "calculus", "series", "cli",
+    # Each CLI stage is a new interpreter, so a module that ``import
+    # sparsepoly`` loads costs every stage: the set it adds is exact, as
+    # the README's Install section states.  The perfbench tracer reads the
+    # package's modules from sys.modules right after the import, so every
+    # one of them is in it.
+    modules = [
+        "_kernel", "arith", "calculus", "cli", "core", "disord",
+        "examples", "parser", "printer", "series", "transform",
     ]
+    expected = {"sparsepoly", "argparse", "gettext", "__future__"}
+    expected |= {"sparsepoly." + m for m in modules}
+    # Standard-library modules that a text pipeline never runs.
+    lazy = ["dataclasses", "inspect", "hashlib", "decimal", "json"]
     code = (
         "import sys\n"
         f"lazy = {lazy!r}\n"
         "before = set(sys.modules)\n"
         "import sparsepoly\n"
         "from sparsepoly import cli\n"
-        "loaded = [m for m in lazy if m in sys.modules and m not in before]\n"
-        "assert not loaded, f'import sparsepoly loaded {loaded}'\n"
-        f"missing = [m for m in {layers!r} if 'sparsepoly.' + m not in sys.modules]\n"
-        "assert not missing, f'import sparsepoly did not load {missing}'\n"
+        "added = set(sys.modules) - before\n"
+        f"expected = {sorted(expected)!r}\n"
+        "assert added == set(expected), f'import sparsepoly added {sorted(added)}'\n"
         "assert cli.main(['subs', '-', 'x=2 + b']) == 0\n"
         "loaded = [m for m in lazy if m in sys.modules and m not in before]\n"
         "assert not loaded, f'subs loaded {loaded}'\n"

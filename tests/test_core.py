@@ -14,13 +14,18 @@ from sparsepoly import (
     Mvp,
     PowerOverflowError,
     accumulate,
+    arith,
     canonical_json,
+    coeffs,
     constant,
     equals,
     equals_approx,
     from_json,
     normalize_term,
+    horner,
     parse,
+    scale,
+    set_coeffs,
     subvec,
     validate,
 )
@@ -99,12 +104,17 @@ def test_normalize_name_memo_is_bounded():
 @pytest.mark.parametrize("text", ["3", "nan", "inf", b"3", bytearray(b"3")])
 def test_text_coefficients_are_refused(text):
     term = (("x", 1),)
+    p = parse("x + 2 y")
     for make in (
         lambda: Mvp({term: text}),
         lambda: Mvp([(term, text)]),
         lambda: Mvp.monomial("x", 1, text),
         lambda: Mvp.from_number(text),
         lambda: accumulate(parse("x"), term, text),
+        lambda: scale(p, text),
+        lambda: arith.divide(p, text),
+        lambda: set_coeffs(p, coeffs(p).map(lambda _: text)),
+        lambda: horner("x", [1.0, text]),
     ):
         with pytest.raises(TypeError, match="coefficient must be a number"):
             make()
@@ -339,6 +349,50 @@ def test_validate_rejects_non_finite_coefficients():
         smuggled._terms = {(("x", 1),): c}  # past every checked way in
         with pytest.raises(AssertionError, match="non-finite"):
             validate(smuggled)
+
+
+_BROKEN = [
+    ({(("x", 1),): 0.0}, AssertionError, "stored zero coefficient"),
+    ({(("x", 1),): 2}, AssertionError, "non-float coefficient"),
+    ({(("y", 1), ("x", 1)): 1.0}, AssertionError, "term not in canonical symbol order"),
+    ({(("x", 1), ("x", 2)): 1.0}, AssertionError, "term not in canonical symbol order"),
+    ({(("x", 0),): 1.0}, AssertionError, "stored zero power"),
+    ({(("1x", 1),): 1.0}, ValueError, "invalid symbol name"),
+    ({(("x", INT64_MAX + 1),): 1.0}, PowerOverflowError, "outside the signed 64-bit range"),
+]
+
+
+@pytest.mark.parametrize("terms, error, message", _BROKEN)
+def test_validate_rejects_each_broken_invariant(terms, error, message):
+    # Built past every checked way in.
+    with pytest.raises(error, match=message):
+        validate(Mvp._from_clean(terms))
+
+
+def test_validate_rejects_unsorted_terms_marked_as_sorted():
+    p = Mvp._from_clean({(("y", 1),): 1.0, (("x", 1),): 1.0})
+    validate(p)
+    p._ordered = True
+    with pytest.raises(AssertionError, match="marked as sorted"):
+        validate(p)
+
+
+def test_operators_with_numbers_and_other_types():
+    p = parse("x - 2")
+    assert 5 - p == parse("7 - x") and 5.5 - p == parse("7.5 - x")
+    assert +p is p
+    for bad in (lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: p - "x"):
+        with pytest.raises(TypeError):
+            bad()
+    assert (p == "x") is False and (p != "x") is True
+
+
+def test_from_json_takes_integral_float_powers():
+    doc = '{"terms":[{"powers":{"x":%s},"coeff":3.0}]}'
+    assert from_json(doc % "2.0") == parse("3 x^2")
+    assert from_json(doc % "-0.0") == 3
+    with pytest.raises(ValueError, match="non-integer power 2.5"):
+        from_json(doc % "2.5")
 
 
 def test_operations_do_not_mutate():

@@ -184,3 +184,75 @@ def test_display_format():
     assert lines[0] == f"A disord object with hash {coeffs(A).hash} and elements"
     assert lines[-1] == "(in some order)"
     assert set(lines[1].split()) == {"5", "-3", "-5", "11"}
+
+
+# The elementwise rule: one Disord method per operator and, for arithmetic,
+# a reflected form for a scalar on the left.
+ARITHMETIC = [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+    lambda a, b: a**b,
+]
+COMPARISONS = [
+    lambda a, b: a < b,
+    lambda a, b: a <= b,
+    lambda a, b: a > b,
+    lambda a, b: a >= b,
+]
+SYMBOLS = ["+", "-", "*", "/", "**", "<", "<=", ">", ">="]
+B = parse("0.5 - 3 x + 2.25 y^2 + 7 x y")
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("op", ARITHMETIC + COMPARISONS, ids=SYMBOLS)
+def test_elementwise_operators_match_python(op):
+    cb = coeffs(B)
+    vs = cb.values
+    for got, want in [
+        (op(cb, cb), [op(v, v) for v in vs]),
+        (op(cb, 3), [op(v, 3) for v in vs]),
+        (op(cb, 1.5), [op(v, 1.5) for v in vs]),
+        (op(3, cb), [op(3, v) for v in vs]),
+        (op(1.5, cb), [op(1.5, v) for v in vs]),
+    ]:
+        assert isinstance(got, Disord) and got.hash == cb.hash
+        assert _hex(got.values) == _hex(want)
+
+
+@pytest.mark.parametrize("op", ARITHMETIC + COMPARISONS, ids=SYMBOLS)
+def test_elementwise_operators_refuse_a_foreign_hash(op):
+    with pytest.raises(HashMismatch):
+        op(coeffs(B), coeffs(B * 2))
+
+
+def test_reflected_division_and_power():
+    cb = coeffs(B)
+    assert (1 / cb).hash == (2**cb).hash == cb.hash
+    assert sorted((1 / cb).values) == sorted(1 / v for v in cb.values)
+    assert sorted((2**cb).values) == sorted(2**v for v in cb.values)
+    assert (-cb).values == tuple(-v for v in cb.values)
+    assert (cb == coeffs(parse("0.5 - 3 x + 2.25 y^2 + 7 x y"))) is True
+    assert (cb == cb * 1.0) is True and (cb == cb + 1) is False
+
+
+def test_filter_and_assign_mask_errors():
+    cb = coeffs(B)
+    mask = cb > 0
+    foreign = coeffs(B * 2) > 0
+    for call, verb in [(lambda m: cb.filter(m), "filtering"), (lambda m: cb.assign(m, 0), "assign")]:
+        with pytest.raises(TypeError, match=f"^{verb} needs a boolean-mask Disord$"):
+            call([True] * len(cb))
+        with pytest.raises(HashMismatch):
+            call(foreign)
+    with pytest.raises(TypeError, match="^filtering needs"):
+        cb[[True] * len(cb)]
+    with pytest.raises(ValueError, match="full-length replacement has wrong length"):
+        cb.assign(mask, Disord(cb.values[:-1], cb.hash))
+    subset = cb[mask]
+    with pytest.raises(ValueError, match="subset replacement has wrong length"):
+        cb.assign(mask, Disord(subset.values + (1.0,), subset.hash))

@@ -40,6 +40,8 @@ def test_parse_or_lift():
     assert parse_or_lift(p) is p
     with pytest.raises(TypeError):
         parse_or_lift([1, 2])
+    with pytest.raises(TypeError, match="expected str, got bytes"):
+        parse(b"x")
 
 
 def test_juxtaposed_letters_are_one_symbol():
@@ -85,6 +87,8 @@ _ERRORS = [
     ("a $ b", 2, "unexpected character '$'"),
     ("3 * * x", 4, "expected a factor after '*'"),
     ("a + + b", 4, "expected a number or symbol"),
+    ("*x", 0, "expected a number or symbol"),
+    ("+*x", 1, "expected a number or symbol"),
     # Unicode digits, letters and spaces are outside the ASCII grammar.
     ("٣", 0, "expected a number or symbol"),
     ("x\f", 1, "unexpected character '\\x0c'"),

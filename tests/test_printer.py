@@ -25,6 +25,9 @@ from sparsepoly import Mvp, format_number, parse, render, render_series, series
         (4.2481827381, "4.248183"),
         (1.0007786666666667, "1.000779"),
         (123456789.25, "123456800"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (float("nan"), "nan"),
     ],
 )
 def test_format_number(value, text):

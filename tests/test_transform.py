@@ -9,7 +9,9 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import eval_at, random_mvp, random_nonneg_mvp
-from sparsepoly import Binding, Mvp, invert, parse, render, subs, subvec
+from sparsepoly import (
+    Binding, Mvp, aderiv, invert, onevarpow, parse, render, subs, subvec, trunc1,
+)
 
 S3 = parse("x + 5 x^4 y + 8 y^2 x z^3")
 
@@ -255,3 +257,64 @@ def test_binding_is_an_immutable_value():
     match b:
         case Binding(symbol, value):
             assert (symbol, value) == ("a", x)
+    assert list(b) == ["a", x] and tuple(b) != b
+
+
+def test_subs_takes_bindings_as_pairs():
+    p = parse("a + x a^2")
+    x = parse("x")
+    assert subs(p, [Binding("a", x)]) == subs(p, [("a", x)]) == parse("x + x^3")
+    assert subs(p, [Binding("a", x), ("x", 2)]) == 10
+
+
+# The five functions read their named arguments through one reader: a
+# mapping (read as its items) or an iterable of pairs, then the keywords.
+NAMED = parse("a^3 b^2 + 2 a b^-1 + 3 a^2 + b + 5")
+NAMED_FUNCTIONS = {
+    "subs": lambda given=None, **kw: subs(NAMED, given, lose=False, **kw),
+    "subvec": lambda given=None, **kw: list(subvec(NAMED, given, **kw)),
+    "trunc1": lambda given=None, **kw: trunc1(NAMED, given, **kw),
+    "onevarpow": lambda given=None, **kw: onevarpow(NAMED, given, **kw),
+    "aderiv": lambda given=None, **kw: aderiv(NAMED, given, **kw),
+}
+# A value each function refuses, for the name-before-value check.
+BAD_VALUE = {"subs": "(((", "subvec": [[1, 2]], "trunc1": "x", "onevarpow": 1.5, "aderiv": -1}
+
+
+@pytest.mark.parametrize("name", NAMED_FUNCTIONS)
+def test_named_arguments_have_one_reader(name):
+    f = NAMED_FUNCTIONS[name]
+    want = f(a=2, b=1)
+    assert f({"a": 2, "b": 1}) == want
+    assert f([("a", 2), ("b", 1)]) == want
+    assert f(iter([("a", 2), ("b", 1)])) == want
+    assert f({"a": 2}, b=1) == want
+    assert f([("a", 2)], b=1) == want
+    assert f(None, a=2, b=1) == f([], a=2, b=1) == f({}, a=2, b=1) == want
+    for text in ("ab", ["ab"], "", [b"ab"], bytearray(b"ab")):
+        with pytest.raises(TypeError, match=r"expected \(symbol, value\) pairs"):
+            f(text)
+    # Every name is read before any value.
+    with pytest.raises(ValueError, match="invalid symbol name: '1bad'"):
+        f([("a", BAD_VALUE[name]), ("1bad", 1)])
+
+
+@pytest.mark.parametrize("name", ["subvec", "trunc1", "onevarpow", "aderiv"])
+def test_order_free_named_arguments_keep_the_last_value(name):
+    f = NAMED_FUNCTIONS[name]
+    want = f(a=2, b=1)
+    assert f([("a", 5), ("b", 1), ("a", 2)]) == want
+    assert f({"a": 5, "b": 1}, a=2) == want
+    # A value that a later one replaces is never read.
+    assert f([("a", BAD_VALUE[name]), ("b", 1)], a=2) == want
+
+
+def test_subs_applies_a_repeated_symbol_in_order():
+    # a -> 5 first; the second binding of a meets no a.
+    assert subs(NAMED, {"a": 5, "b": 1}, a=2) == subs(NAMED, a=5, b=1) == 216
+
+
+def test_subs_reads_a_mapping_as_its_items():
+    p = parse("x + a")
+    assert subs(p, {"xy": 5}, lose=False) == p
+    assert subs(p, {"x": "y", "a": 2}, lose=False) == parse("y + 2")
