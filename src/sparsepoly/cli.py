@@ -46,9 +46,9 @@ def _split_assignment(text: str) -> tuple[str, str]:
     return name, value
 
 
-def _int_assignment(text: str) -> tuple[str, int]:
-    name, value = _split_assignment(text)
-    return name, int(value)
+def _assignments(read_value):
+    """A reader of ``name=value`` entries, each value read by ``read_value``."""
+    return lambda entries: [(s, read_value(v)) for s, v in map(_split_assignment, entries)]
 
 
 def _number(token: str) -> float:
@@ -107,8 +107,8 @@ def _knight(_, args):
         k = arith.power(k, args.exponent)
     if args.constant:
         return constant(k)
-    if args.onevarpow:
-        return onevarpow(k, map(_int_assignment, args.onevarpow.split(",")))
+    if args.entries:
+        return onevarpow(k, args.entries)
     if args.expected_distance:
         return expected_distance(k)
     return k
@@ -125,13 +125,14 @@ def _build_parser() -> _Parser:
     """The argument parser; each subcommand sets ``run``, its handler.
 
     A handler maps one input polynomial (None for a command without
-    ``expr``) to a polynomial, a number or a line of text.  It names the
-    library functions it calls, so it reaches them through this module's
-    globals when it runs, where a tracer may have replaced them.
+    ``expr``) to a polynomial, a number or a line of text.  A command with
+    an argument list ``entries`` also sets ``read``, its reader.  Both look
+    library functions up when ``main`` runs, where a tracer may have
+    replaced them.
     """
     top = _Parser(prog="sparsepoly", description=__doc__)
     # Commands without --order render in canonical order.
-    top.set_defaults(order="canonical", varorder=None)
+    top.set_defaults(order="canonical", varorder=None, entries=None, read=lambda raw: raw)
     sub = top.add_subparsers(dest="command", required=True)
 
     def poly_flags(p, with_order=False):
@@ -142,7 +143,6 @@ def _build_parser() -> _Parser:
             p.add_argument(
                 "--varorder",
                 type=lambda s: s.split(","),
-                default=None,
                 help="comma-separated variable precedence (with --order lex)",
             )
 
@@ -157,46 +157,52 @@ def _build_parser() -> _Parser:
             poly_flags(p, with_order)
         return p
 
+    def listed(p, metavar, read, nargs="+"):
+        p.add_argument("entries", nargs=nargs, metavar=metavar)
+        p.set_defaults(read=read)
+
+    ints = _assignments(int)
+
     command("eval", "parse and reprint an expression", lambda p, a: p, with_order=True)
 
     p = command(
-        "subs", "substitute, bindings applied in argument order", lambda p, a: subs(p, a.bindings)
+        "subs", "substitute, bindings applied in argument order", lambda p, a: subs(p, a.entries)
     )
-    p.add_argument("bindings", nargs="+", metavar="name=EXPR")
+    listed(p, "name=EXPR", _assignments(parse))
 
     p = command(
         "subvec",
         "vectorised numeric substitution",
-        lambda p, a: " ".join(format_number(v) for v in subvec(p, a.bindings)),
+        lambda p, a: " ".join(format_number(v) for v in subvec(p, a.entries)),
         flags=False,
     )
-    p.add_argument("bindings", nargs="+", metavar="name=v1,v2,...")
+    listed(p, "name=v1,v2,...", _assignments(_number_list))
 
     p = command("deriv", "successive partial derivatives", lambda p, a: deriv(p, a.variables))
     p.add_argument("variables", nargs="+", metavar="VAR")
 
-    p = command("aderiv", "mixed partial of given orders", lambda p, a: aderiv(p, a.orders))
-    p.add_argument("orders", nargs="+", metavar="name=k", type=_int_assignment)
+    p = command("aderiv", "mixed partial of given orders", lambda p, a: aderiv(p, a.entries))
+    listed(p, "name=k", ints)
 
     p = command(
-        "horner", "sum of c_i * EXPR^i by Horner's scheme", lambda p, a: horner(p, a.coefficients)
+        "horner", "sum of c_i * EXPR^i by Horner's scheme", lambda p, a: horner(p, a.entries)
     )
-    p.add_argument("coefficients", metavar="c0,c1,...")
+    listed(p, "c0,c1,...", _number_list, nargs=None)
 
     p = command("trunc", "keep terms of total degree <= N", lambda p, a: trunc(p, a.degree))
     p.add_argument("degree", type=int)
 
     p = command(
-        "trunc1", "keep terms with per-symbol power <= limit", lambda p, a: trunc1(p, a.limits)
+        "trunc1", "keep terms with per-symbol power <= limit", lambda p, a: trunc1(p, a.entries)
     )
-    p.add_argument("limits", nargs="+", metavar="name=k", type=_int_assignment)
+    listed(p, "name=k", ints)
 
     p = command(
         "onevarpow",
         "extract the factor of an exact power pattern",
-        lambda p, a: onevarpow(p, a.targets),
+        lambda p, a: onevarpow(p, a.entries),
     )
-    p.add_argument("targets", nargs="+", metavar="name=k", type=_int_assignment)
+    listed(p, "name=k", ints)
 
     p = command(
         "series",
@@ -227,7 +233,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--pow", type=int, default=1, dest="exponent", metavar="N")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--constant", action="store_true", help="print the constant coefficient")
-    group.add_argument("--onevarpow", metavar="a=1,b=1", help="extract an exact power pattern")
+    group.add_argument(
+        "--onevarpow", dest="entries", metavar="a=1,b=1", help="extract an exact power pattern"
+    )
+    p.set_defaults(read=lambda raw: raw and ints(raw.split(",")))
     group.add_argument(
         "--expected-distance",
         action="store_true",
@@ -249,30 +258,21 @@ def _build_parser() -> _Parser:
 def _run(args) -> list[str]:
     # Argument lists are read here, not by argparse, so that an error names
     # its reason, and before stdin, so that it wins over an input error.
-    if args.command == "horner":
-        args.coefficients = _number_list(args.coefficients)
-    elif args.command == "subs":
-        args.bindings = [(s, parse(v)) for s, v in map(_split_assignment, args.bindings)]
-    elif args.command == "subvec":
-        args.bindings = [(s, _number_list(v)) for s, v in map(_split_assignment, args.bindings)]
+    args.entries = args.read(args.entries)
     inputs = _polys(args.expr) if "expr" in args else [None]
     return [_emit(args.run(p, args), args) for p in inputs]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        for line in _run(_build_parser().parse_args(argv)):
+            print(line)
+        return 0
     except _UsageError as e:
         print(e, file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-
-    try:
-        for line in _run(args):
-            print(line)
-        return 0
     except BrokenPipeError:
         # The reader went away (``| head``).  Point stdout at devnull so the
         # flush at exit does not raise again, as the Python docs advise.

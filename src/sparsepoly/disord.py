@@ -4,8 +4,9 @@ Extractions like ``coeffs(p)`` come back in an order that carries no
 meaning, so combining two extractions elementwise is only lawful when they
 provably came from the same source.  Each extraction carries a provenance
 hash (the digest of the source polynomial's canonical serialization);
-elementwise binary operations demand equal hashes and raise HashMismatch
-otherwise, turning a silent wrong answer into a loud error.
+elementwise binary operations, masks and ``set_coeffs`` demand the same
+hash and the same length, and raise HashMismatch or ValueError otherwise,
+turning a silent wrong answer into a loud error.
 
 Filtering produces a *different* collection, so it gets a fresh hash
 derived from the parent hash and the kept positions; mapping preserves
@@ -56,6 +57,19 @@ def provenance_hash(p: Mvp) -> str:
     return _digest(canonical_json(p))
 
 
+def _same_source(h: str, n: int, other, noun: str, needs: str) -> tuple:
+    """The values of ``other`` if it is a Disord of hash ``h`` and length
+    ``n``; else TypeError ``needs``, HashMismatch or ValueError on ``noun``.
+    """
+    if not isinstance(other, Disord):
+        raise TypeError(needs)
+    if other._hash != h:
+        raise HashMismatch(h, other._hash)
+    if len(other._values) != n:
+        raise ValueError(f"{noun} has wrong length")
+    return other._values
+
+
 def _elementwise(f: Callable) -> tuple:
     """``f`` as a Disord method and its reflected form (scalar on the left)."""
 
@@ -74,10 +88,10 @@ class Disord:
     """A sequence of values whose order carries no external meaning.
 
     Elementwise operators (``+ - * / ** < > <= >=``) work against a scalar
-    on either side or against another Disord with the same hash, and
-    ``==`` compares whole collections; indexing with a boolean-mask Disord
-    filters.  Use ``assign`` to build a modified copy and ``set_coeffs``
-    to write coefficients back into a polynomial.
+    on either side or against another Disord with the same hash and same
+    length, and ``==`` compares whole collections; indexing with such a
+    boolean-mask Disord filters.  Use ``assign`` to build a modified copy
+    and ``set_coeffs`` to write coefficients back into a polynomial.
     """
 
     __slots__ = ("_values", "_hash")
@@ -105,14 +119,9 @@ class Disord:
         return Disord((f(v) for v in self._values), self._hash)
 
     def zip_with(self, other: "Disord", f: Callable) -> "Disord":
-        """Combine elementwise with another Disord of equal hash."""
-        if not isinstance(other, Disord):
-            raise TypeError("zip_with needs another Disord")
-        if self._hash != other._hash:
-            raise HashMismatch(self._hash, other._hash)
-        return Disord(
-            (f(a, b) for a, b in zip(self._values, other._values)), self._hash
-        )
+        """Combine elementwise with another Disord of equal hash and length."""
+        values = self._same(other, "operand", "zip_with needs another Disord")
+        return Disord(map(f, self._values, values), self._hash)
 
     __add__, __radd__ = _elementwise(operator.add)
     __sub__, __rsub__ = _elementwise(operator.sub)
@@ -131,13 +140,13 @@ class Disord:
     def __neg__(self):
         return self.map(operator.neg)
 
+    def _same(self, other, noun: str, needs: str = "") -> tuple:
+        return _same_source(self._hash, len(self._values), other, noun, needs)
+
     def _kept(self, mask: "Disord", what: str) -> list:
-        """The positions a same-hash boolean mask keeps."""
-        if not isinstance(mask, Disord):
-            raise TypeError(f"{what} needs a boolean-mask Disord")
-        if self._hash != mask._hash:
-            raise HashMismatch(self._hash, mask._hash)
-        return [i for i, keep in enumerate(mask._values) if keep]
+        """The positions a same-source boolean mask keeps."""
+        values = self._same(mask, "mask", f"{what} needs a boolean-mask Disord")
+        return [i for i, keep in enumerate(values) if keep]
 
     def filter(self, mask: "Disord") -> "Disord":
         """Keep elements where the mask is true; the result is a new,
@@ -158,23 +167,18 @@ class Disord:
         position, in order).
         """
         kept = self._kept(mask, "assign")
-        values = list(self._values)
-        if isinstance(replacement, Disord):
-            if replacement._hash == self._hash:
-                if len(replacement) != len(self):
-                    raise ValueError("full-length replacement has wrong length")
-                for i in kept:
-                    values[i] = replacement._values[i]
-            elif replacement._hash == _filtered_hash(self._hash, kept):
-                if len(replacement) != len(kept):
-                    raise ValueError("subset replacement has wrong length")
-                for i, v in zip(kept, replacement._values):
-                    values[i] = v
-            else:
-                raise HashMismatch(self._hash, replacement._hash)
+        if not isinstance(replacement, Disord):
+            new = [replacement] * len(kept)
+        elif replacement._hash == _filtered_hash(self._hash, kept):
+            if len(replacement) != len(kept):
+                raise ValueError("subset replacement has wrong length")
+            new = replacement._values
         else:
-            for i in kept:
-                values[i] = replacement
+            full = self._same(replacement, "full-length replacement")
+            new = [full[i] for i in kept]
+        values = list(self._values)
+        for i, v in zip(kept, new):
+            values[i] = v
         return Disord(values, self._hash)
 
     def sum(self):
@@ -234,19 +238,14 @@ def variables(p: Mvp) -> Disord:
 def set_coeffs(p: Mvp, d: Disord) -> Mvp:
     """Replace the coefficients of ``p`` positionally from ``d``.
 
-    ``d`` must carry the hash that ``coeffs(p)`` produces and have one
-    value per term; zero replacements delete their terms, which is the
+    ``d`` must be a Disord with the hash that ``coeffs(p)`` produces and
+    one value per term; zero replacements delete their terms, which is the
     mechanism for zapping small coefficients.
     """
-    expected = provenance_hash(p)
-    if d.hash != expected:
-        raise HashMismatch(expected, d.hash)
-    if len(d) != len(p._terms):
-        raise ValueError(
-            f"need {len(p._terms)} coefficients, got {len(d)}"
-        )
+    h = provenance_hash(p)
+    values = _same_source(h, len(p._terms), d, "replacement", "set_coeffs needs a Disord")
     out = {}
-    for (t, _), c in zip(p.terms(), d.values):
+    for (t, _), c in zip(p.terms(), values):
         c = c if type(c) is float else _coefficient(c)
         if c != 0.0:
             out[t] = c

@@ -39,8 +39,24 @@ class SeriesDecomposition(Record):
     __repr__ = __str__
 
 
-def trunc(p: Mvp, n: int) -> Mvp:
-    """Keep the terms of total degree at most ``n`` (negatives included)."""
+def _require_real(what: str, x) -> None:
+    """TypeError unless ``x`` is a real number, ValueError if it is NaN."""
+    import numbers
+
+    if not isinstance(x, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {x!r}")
+    if x != x:  # NaN, the one real unequal to itself
+        raise ValueError(f"{what} is NaN")
+
+
+def trunc(p: Mvp, n) -> Mvp:
+    """Keep the terms of total degree at most ``n`` (negatives included).
+
+    ``n`` may be any real number, and an infinite one keeps or drops every
+    term; a NaN raises ValueError and anything else TypeError, before any
+    term is read.
+    """
+    _require_real("degree", n)
     return Mvp._from_clean(
         {t: c for t, c in p._terms.items() if total_degree(t) <= n}
     )
@@ -57,14 +73,9 @@ def trunc1(p: Mvp, limits=None, **by_name) -> Mvp:
     TypeError naming its symbol, before any term is read; every name is
     checked before any limit.
     """
-    import numbers
-
     merged = dict(named_pairs(limits, by_name))
     for s, lim in merged.items():
-        if not isinstance(lim, numbers.Real):
-            raise TypeError(f"limit for {s!r} must be a real number, got {lim!r}")
-        if lim != lim:  # NaN, the one real unequal to itself
-            raise ValueError(f"limit for {s!r} is NaN")
+        _require_real(f"limit for {s!r}", lim)
     out = {
         t: c
         for t, c in p._terms.items()

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,63 @@ def test_bad_number_list_message_names_the_reason(capsys, command, numbers, reas
     assert code == 1
     assert out == ""
     assert err == f"sparsepoly: {reason}"
+
+
+# One malformed entry per kind for every subcommand that takes an argument
+# list, with the reason it prints after "sparsepoly: ".
+_MALFORMED_LISTS = [
+    (["subs", "x", "a"], "expected name=value, got 'a'"),
+    (["subs", "x", "a=1+"], "expected a number or symbol (at offset 2)"),
+    (["subvec", "x", "x=1", "y"], "expected name=value, got 'y'"),
+    (["subvec", "x", "x=1,a"], "could not convert string to float: 'a'"),
+    (["aderiv", "x", "x=1", "y="], "expected name=value, got 'y='"),
+    (["aderiv", "x", "x=b"], "invalid literal for int() with base 10: 'b'"),
+    (["horner", "x", "1,,2"], "empty entry in the number list '1,,2'"),
+    (["horner", "x", "1/0"], "zero denominator in '1/0'"),
+    (["trunc1", "x", "a"], "expected name=value, got 'a'"),
+    (["trunc1", "x", "a=b"], "invalid literal for int() with base 10: 'b'"),
+    (["onevarpow", "x", "=1"], "expected name=value, got '=1'"),
+    (["onevarpow", "x", "a=1.5"], "invalid literal for int() with base 10: '1.5'"),
+    (["knight", "2", "--onevarpow", "a"], "expected name=value, got 'a'"),
+    (["knight", "2", "--onevarpow", "a=1,b="], "expected name=value, got 'b='"),
+    (["knight", "2", "--onevarpow", "a=x"], "invalid literal for int() with base 10: 'x'"),
+]
+_MALFORMED_IDS = [" ".join(argv) for argv, _ in _MALFORMED_LISTS]
+
+
+@pytest.mark.parametrize("argv, reason", _MALFORMED_LISTS, ids=_MALFORMED_IDS)
+def test_a_malformed_list_entry_prints_its_reason(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"sparsepoly: {reason}")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(a, r) for a, r in _MALFORMED_LISTS if a[0] != "knight"],
+    ids=[i for i in _MALFORMED_IDS if not i.startswith("knight")],
+)
+def test_a_malformed_list_wins_over_a_bad_stdin_line(capsys, monkeypatch, argv, reason):
+    # The list is read before stdin, so the line "(" is never parsed.
+    stdin = io.StringIO("(\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, argv[0], "-", *argv[2:])
+    assert (code, out, err) == (1, "", f"sparsepoly: {reason}")
+    assert stdin.tell() == 0
+
+
+def test_no_error_message_names_a_private_function(capsys):
+    commands = [
+        "eval", "subs", "subvec", "deriv", "aderiv", "horner", "trunc", "trunc1", "onevarpow",
+        "series", "taylor", "coeffs", "powers", "knight", "rmvp",
+    ]
+    cases = [argv for argv, _ in _MALFORMED_LISTS]
+    cases += [[c] for c in commands] + [[c, "x", "--bogus"] for c in commands]
+    cases += [["trunc", "x", "a"], ["knight", "x"], ["rmvp", "1", "x", "1", "3"], ["nosuch"]]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("sparsepoly"), argv
+        assert not re.search(r"invalid _|_int_assignment|Traceback", err), argv
 
 
 def test_number_list_entries_may_carry_spaces(capsys):

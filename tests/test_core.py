@@ -27,6 +27,8 @@ from sparsepoly import (
     scale,
     set_coeffs,
     subvec,
+    trunc,
+    trunc1,
     validate,
 )
 from sparsepoly import core
@@ -121,6 +123,43 @@ def test_text_coefficients_are_refused(text):
     if isinstance(text, str):
         with pytest.raises(ValueError):
             from_json('{"terms":[{"powers":{"x":1},"coeff":"%s"}]}' % text)
+
+
+_P = parse("x + 2 y")
+_TERM = (("x", 1),)
+# Every public way a number goes in, each handed a text in its place.
+_NUMBER_READERS = {
+    "Mvp-mapping": lambda t: Mvp({_TERM: t}),
+    "Mvp-pairs": lambda t: Mvp([(_TERM, t)]),
+    "accumulate": lambda t: accumulate(parse("x"), _TERM, t),
+    "Mvp.monomial": lambda t: Mvp.monomial("x", 1, t),
+    "Mvp.from_number": lambda t: Mvp.from_number(t),
+    "scale": lambda t: scale(_P, t),
+    "divide": lambda t: arith.divide(_P, t),
+    "set_coeffs": lambda t: set_coeffs(_P, coeffs(_P).map(lambda _: t)),
+    "horner": lambda t: horner("x", [1.0, t]),
+    "subvec": lambda t: subvec(_P, x=t, y=1.0),
+    "subvec-sequence": lambda t: subvec(_P, x=[1.0, t], y=1.0),
+    "trunc": lambda t: trunc(_P, t),
+    "trunc1": lambda t: trunc1(_P, x=t),
+}
+_TEXTS = ["3", "nan", "inf", b"3", bytearray(b"3")]
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (name, text)
+        for name in _NUMBER_READERS
+        for text in _TEXTS
+        # numpy reads a bytearray inside a list as a row of bytes, so that
+        # value is 2-D and refused as such (ValueError), not as text.
+        if not (name == "subvec-sequence" and isinstance(text, bytearray))
+    ],
+)
+def test_text_is_refused_wherever_a_number_is_read(reader, text):
+    with pytest.raises(TypeError):
+        _NUMBER_READERS[reader](text)
 
 
 def test_number_coefficients_are_taken_through_float():

@@ -256,3 +256,47 @@ def test_filter_and_assign_mask_errors():
     subset = cb[mask]
     with pytest.raises(ValueError, match="subset replacement has wrong length"):
         cb.assign(mask, Disord(subset.values + (1.0,), subset.hash))
+
+
+def _same_hash_of_length(d, n):
+    """A Disord with ``d``'s hash and ``n`` values: a forged same-hash operand."""
+    return Disord((d.values * 2)[:n], d.hash)
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("op", ARITHMETIC + COMPARISONS, ids=SYMBOLS)
+def test_elementwise_operators_refuse_another_length(op, delta):
+    cb = coeffs(B)
+    other = _same_hash_of_length(cb, len(cb) + delta)
+    with pytest.raises(ValueError, match="^operand has wrong length$"):
+        op(cb, other)
+    with pytest.raises(ValueError, match="^operand has wrong length$"):
+        op(other, cb)
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_masks_and_set_coeffs_refuse_another_length(delta):
+    c = coeffs(parse("x + 2 y + 3"))
+    mask = _same_hash_of_length(c > 0, len(c) + delta)
+    for call in (lambda: c.filter(mask), lambda: c[mask], lambda: c.assign(mask, 0)):
+        with pytest.raises(ValueError, match="^mask has wrong length$"):
+            call()
+    with pytest.raises(ValueError, match="^full-length replacement has wrong length$"):
+        c.assign(c > 0, _same_hash_of_length(c, len(c) + delta))
+    p = parse("x + 2 y + 3")
+    with pytest.raises(ValueError, match="^replacement has wrong length$"):
+        set_coeffs(p, _same_hash_of_length(c, len(c) + delta))
+
+
+def test_set_coeffs_refuses_what_is_not_a_disord():
+    p = parse("x + 2 y + 3")
+    for given in ([1.0], [1.0, 2.0, 3.0], coeffs(p).values, None):
+        with pytest.raises(TypeError, match="^set_coeffs needs a Disord$"):
+            set_coeffs(p, given)
+
+
+def test_assign_foreign_replacement_names_the_collection_hash_first():
+    c = coeffs(parse("x + 2 y + 3"))
+    with pytest.raises(HashMismatch) as caught:
+        c.assign(c > 1, coeffs(parse("x")))
+    assert (caught.value.hash1, caught.value.hash2) == (c.hash, provenance_hash(parse("x")))

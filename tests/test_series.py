@@ -104,6 +104,20 @@ def test_trunc1_refuses_a_limit_that_is_not_a_real_number(p, limit):
         trunc1(p, {"x": 1, "y": limit})
 
 
+def test_trunc_takes_trunc1s_limit_rule():
+    import numpy as np
+
+    for p in (parse("1 + x"), Mvp()):
+        with pytest.raises(ValueError, match="^degree is NaN$"):
+            trunc(p, float("nan"))
+        for degree in ("3", None, 1j):
+            with pytest.raises(TypeError, match="^degree must be a real number, got "):
+                trunc(p, degree)
+    assert trunc(X, math.inf) == X
+    assert trunc(X, -math.inf) == Mvp()
+    assert trunc(X, 2.5) == trunc(X, 2) == trunc(X, np.int64(2))
+
+
 def test_onevarpow_fixture():
     assert render(onevarpow(X, x=3)) == "1 + 6 y"
 
