@@ -17,8 +17,8 @@ its term pairs or, with at least 512 pairs, fits in 64 bits.
 Each stage of a CLI pipeline is a new interpreter, so the import keeps to
 what a text pipeline runs: besides its own modules it loads ``argparse``
 (with ``gettext``) and ``__future__``, and ``hashlib``, ``json`` and
-``decimal`` wait for a provenance hash, a JSON input or a non-integral
-coefficient to print.  Every module of the package is still imported
+``decimal`` wait for a provenance hash that is read, a JSON input or a
+non-integral coefficient to print.  Every module of the package is still imported
 here, including those the CLI never calls, because the benchmark's
 tracer wraps functions it finds in ``sys.modules`` right after
 ``import sparsepoly``.

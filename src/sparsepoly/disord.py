@@ -11,10 +11,17 @@ turning a silent wrong answer into a loud error.
 Filtering produces a *different* collection, so it gets a fresh hash
 derived from the parent hash and the kept positions; mapping preserves
 both length and provenance, so the hash survives.
+
+An extraction keeps its source polynomial (so a collection keeps that
+polynomial alive) and computes the digest the first time something reads
+it.  A polynomial never changes what it shows, so two collections from
+the same ``Mvp`` object combine without a digest; ``set_coeffs(p,
+coeffs(p))`` and the zap idiom hash nothing.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, NamedTuple
 
@@ -57,17 +64,34 @@ def provenance_hash(p: Mvp) -> str:
     return _digest(canonical_json(p))
 
 
-def _same_source(h: str, n: int, other, noun: str, needs: str) -> tuple:
-    """The values of ``other`` if it is a Disord of hash ``h`` and length
-    ``n``; else TypeError ``needs``, HashMismatch or ValueError on ``noun``.
+def _same_source(d: "Disord", n: int, other, noun: str, needs: str) -> tuple:
+    """The values of ``other`` if it is a Disord of length ``n`` with the
+    provenance of ``d`` (the same source polynomial, else the same hash);
+    else TypeError ``needs``, HashMismatch or ValueError on ``noun``.
     """
     if not isinstance(other, Disord):
         raise TypeError(needs)
-    if other._hash != h:
-        raise HashMismatch(h, other._hash)
+    if not _same_provenance(d, other):
+        raise HashMismatch(d.hash, other.hash)
     if len(other._values) != n:
         raise ValueError(f"{noun} has wrong length")
     return other._values
+
+
+def _same_provenance(a: "Disord", b: "Disord") -> bool:
+    """Whether two Disords share a provenance: extractions of one Mvp
+    object do without a digest, any others when their hashes agree."""
+    return (a._source is not None and a._source is b._source) or a.hash == b.hash
+
+
+def _disord(values, h, source) -> "Disord":
+    """A Disord extracted from ``source`` (or None) with digest ``h``;
+    ``h`` None defers ``provenance_hash(source)`` to the first read."""
+    d = object.__new__(Disord)
+    d._values = tuple(values)
+    d._hash = h
+    d._source = source
+    return d
 
 
 def _elementwise(f: Callable) -> tuple:
@@ -94,11 +118,14 @@ class Disord:
     and ``set_coeffs`` to write coefficients back into a polynomial.
     """
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("_values", "_hash", "_source")
 
     def __init__(self, values, provenance: str):
+        if not isinstance(provenance, str):
+            raise TypeError(f"provenance must be a str, not {type(provenance).__name__}")
         self._values = tuple(values)
         self._hash = provenance
+        self._source = None
 
     @property
     def values(self) -> tuple:
@@ -106,6 +133,9 @@ class Disord:
 
     @property
     def hash(self) -> str:
+        # Unlocked: threads that race here compute and store equal strings.
+        if self._hash is None:
+            self._hash = provenance_hash(self._source)
         return self._hash
 
     def __len__(self) -> int:
@@ -116,12 +146,12 @@ class Disord:
 
     def map(self, f: Callable) -> "Disord":
         """Apply a function per element; provenance is preserved."""
-        return Disord((f(v) for v in self._values), self._hash)
+        return _disord((f(v) for v in self._values), self._hash, self._source)
 
     def zip_with(self, other: "Disord", f: Callable) -> "Disord":
         """Combine elementwise with another Disord of equal hash and length."""
         values = self._same(other, "operand", "zip_with needs another Disord")
-        return Disord(map(f, self._values, values), self._hash)
+        return _disord(map(f, self._values, values), self._hash, self._source)
 
     __add__, __radd__ = _elementwise(operator.add)
     __sub__, __rsub__ = _elementwise(operator.sub)
@@ -141,7 +171,7 @@ class Disord:
         return self.map(operator.neg)
 
     def _same(self, other, noun: str, needs: str = "") -> tuple:
-        return _same_source(self._hash, len(self._values), other, noun, needs)
+        return _same_source(self, len(self._values), other, noun, needs)
 
     def _kept(self, mask: "Disord", what: str) -> list:
         """The positions a same-source boolean mask keeps."""
@@ -153,7 +183,7 @@ class Disord:
         shorter collection and carries a fresh hash."""
         kept = self._kept(mask, "filtering")
         return Disord(
-            (self._values[i] for i in kept), _filtered_hash(self._hash, kept)
+            (self._values[i] for i in kept), _filtered_hash(self.hash, kept)
         )
 
     __getitem__ = filter
@@ -169,7 +199,7 @@ class Disord:
         kept = self._kept(mask, "assign")
         if not isinstance(replacement, Disord):
             new = [replacement] * len(kept)
-        elif replacement._hash == _filtered_hash(self._hash, kept):
+        elif replacement._source is None and replacement.hash == _filtered_hash(self.hash, kept):
             if len(replacement) != len(kept):
                 raise ValueError("subset replacement has wrong length")
             new = replacement._values
@@ -179,21 +209,31 @@ class Disord:
         values = list(self._values)
         for i, v in zip(kept, new):
             values[i] = v
-        return Disord(values, self._hash)
+        return _disord(values, self._hash, self._source)
 
     def sum(self):
-        """Order-independent reduction; lawful on any single collection."""
+        """Order-independent reduction; lawful on any single collection.
+
+        With a float among the values it is ``math.fsum``, which rounds
+        once; ints and bools add exactly.
+        """
+        if any(isinstance(v, float) for v in self._values):
+            return math.fsum(self._values)
         return sum(self._values)
 
     def __eq__(self, other):
         # Elementwise == would be ambiguous with identity comparison in
         # tests; compare as value: same provenance and same sequence.
         if isinstance(other, Disord):
-            return self._hash == other._hash and self._values == other._values
+            return _same_provenance(self, other) and self._values == other._values
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._hash, self._values))
+        return hash((self.hash, self._values))
+
+    def __reduce__(self):
+        # The values and the digest, not the source polynomial.
+        return Disord, (self._values, self.hash)
 
     def __str__(self) -> str:
         from .printer import format_number
@@ -203,7 +243,7 @@ class Disord:
             for v in self._values
         )
         return (
-            f"A disord object with hash {self._hash} and elements\n"
+            f"A disord object with hash {self.hash} and elements\n"
             f"{shown}\n(in some order)"
         )
 
@@ -216,7 +256,7 @@ def _filtered_hash(parent: str, kept_indices) -> str:
 
 def coeffs(p: Mvp) -> Disord:
     """The coefficients of a polynomial, in no particular order."""
-    return Disord((c for _, c in p.terms()), provenance_hash(p))
+    return _disord(p._canonical().values(), None, p)
 
 
 def powers(p: Mvp) -> Disord:
@@ -225,27 +265,27 @@ def powers(p: Mvp) -> Disord:
         PowerRow(tuple(s for s, _ in t), tuple(k for _, k in t))
         for t, _ in p.terms()
     )
-    return Disord(rows, provenance_hash(p))
+    return _disord(rows, None, p)
 
 
 def variables(p: Mvp) -> Disord:
     """The symbol sequence of each term, parallel to ``coeffs``/``powers``."""
-    return Disord(
-        (tuple(s for s, _ in t) for t, _ in p.terms()), provenance_hash(p)
-    )
+    return _disord((tuple(s for s, _ in t) for t, _ in p.terms()), None, p)
 
 
 def set_coeffs(p: Mvp, d: Disord) -> Mvp:
     """Replace the coefficients of ``p`` positionally from ``d``.
 
-    ``d`` must be a Disord with the hash that ``coeffs(p)`` produces and
-    one value per term; zero replacements delete their terms, which is the
+    ``d`` must be a Disord extracted from ``p`` itself or carrying the hash
+    that ``coeffs(p)`` produces, with one value per term; zero replacements delete their terms, which is the
     mechanism for zapping small coefficients.
     """
-    h = provenance_hash(p)
-    values = _same_source(h, len(p._terms), d, "replacement", "set_coeffs needs a Disord")
+    # An empty extraction of p stands for coeffs(p)'s provenance.
+    values = _same_source(
+        _disord((), None, p), len(p._terms), d, "replacement", "set_coeffs needs a Disord"
+    )
     out = {}
-    for (t, _), c in zip(p.terms(), values):
+    for t, c in zip(p._canonical(), values):
         c = c if type(c) is float else _coefficient(c)
         if c != 0.0:
             out[t] = c

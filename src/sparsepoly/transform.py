@@ -107,7 +107,7 @@ def subvec(p: Mvp, bindings=None, **by_name) -> np.ndarray:
     ``bindings`` and the keywords are read by ``named_pairs``; a repeated
     symbol keeps its last value.  Every symbol of ``p`` must be bound,
     each to a number or a 1-D sequence of numbers: text (a ``str``,
-    ``bytes`` or ``bytearray``, or a sequence that numpy reads as text)
+    ``bytes`` or ``bytearray``, alone or as an element of a sequence)
     raises TypeError naming the symbol, and a 2-D value ValueError, before
     any term is read.  Vectors must share one length
     (length-1 values are recycled).  Negative powers evaluate as real
@@ -129,8 +129,12 @@ def subvec(p: Mvp, bindings=None, **by_name) -> np.ndarray:
     import numpy as np
 
     supplied = dict(named_pairs(bindings, by_name))
+    text = (str, bytes, bytearray)
     for s, v in supplied.items():
-        if isinstance(v, (str, bytes, bytearray)) or np.asarray(v).dtype.kind in "SU":
+        a = np.asarray(v)
+        if isinstance(v, text) or (
+            a.dtype.kind in "OSU" and any(isinstance(e, text) for e in a.flat)
+        ):
             raise TypeError(f"value bound to {s!r} must be a number or numbers, not text")
     vectors = {s: np.atleast_1d(np.asarray(v, dtype=float)) for s, v in supplied.items()}
     for s, v in vectors.items():

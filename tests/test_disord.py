@@ -1,11 +1,19 @@
 """Hash discipline on unordered coefficient and power extractions."""
 
+import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from helpers import random_nonneg_mvp
+import sparsepoly
 from sparsepoly import (
     Disord,
     HashMismatch,
@@ -300,3 +308,123 @@ def test_assign_foreign_replacement_names_the_collection_hash_first():
     with pytest.raises(HashMismatch) as caught:
         c.assign(c > 1, coeffs(parse("x")))
     assert (caught.value.hash1, caught.value.hash2) == (c.hash, provenance_hash(parse("x")))
+
+
+def test_sum_of_floats_rounds_once_in_any_order():
+    for order in itertools.permutations((1e16, 1.0, -1e16)):
+        assert Disord(order, "h").sum() == 1.0
+    c = coeffs(A)
+    assert type((c > 0).sum()) is int and (c > 0).sum() == 2
+    assert Disord((3, -1, 2), "h").sum() == 4
+
+
+def test_provenance_must_be_text():
+    for given in (None, b"h", 1):
+        with pytest.raises(TypeError, match="^provenance must be a str"):
+            Disord([1], given)
+
+
+def test_pickle_carries_values_and_digest():
+    c = coeffs(A)
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and back.hash == c.hash and back.values == c.values
+    assert back._source is None
+
+
+# The digest of an extraction is computed only when something reads it.
+@pytest.fixture
+def digests(monkeypatch):
+    """The polynomials ``provenance_hash`` is called on, in order."""
+    from sparsepoly import disord
+
+    seen = []
+    real = disord.provenance_hash
+
+    def spy(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(disord, "provenance_hash", spy)
+    return seen
+
+
+def test_zap_and_identity_set_coeffs_hash_nothing(digests):
+    x = parse("1 - 0.11*x + 0.005*x*y") ** 2
+    cx = coeffs(x)
+    zapped = set_coeffs(x, cx.assign(abs(cx) < 0.01, 0))
+    assert render(zapped) == "1 - 0.22 x + 0.01 x y + 0.0121 x^2"
+    assert set_coeffs(A, coeffs(A)) == A
+    assert set_coeffs(A, coeffs(A) * 2 + coeffs(A)) == A * 3
+    assert digests == []
+
+
+def test_hash_is_computed_once_when_read(digests):
+    c = coeffs(A)
+    assert digests == []
+    first = c.hash
+    assert digests == [A] and first == provenance_hash(A)
+    assert c.hash is first and len(digests) == 1
+
+
+def test_equal_polynomials_combine_and_others_still_refuse():
+    twin = parse(render(A))
+    assert twin is not A and twin == A
+    assert sorted((coeffs(A) + coeffs(twin)).values) == [-10, -6, 10, 22]
+    assert coeffs(A) == coeffs(twin)
+    assert set_coeffs(A, coeffs(twin) * 2) == A * 2
+    other = A * 2
+    with pytest.raises(HashMismatch) as caught:
+        coeffs(A) + coeffs(other)
+    h, g = provenance_hash(A), provenance_hash(other)
+    assert str(caught.value) == f"provenance hashes differ: {h} and {g}"
+    with pytest.raises(HashMismatch) as caught:
+        set_coeffs(A, coeffs(other))
+    assert str(caught.value) == f"provenance hashes differ: {h} and {g}"
+    assert coeffs(A) != coeffs(other)
+    by_hand = Disord(coeffs(A).values, provenance_hash(A))
+    assert set_coeffs(A, by_hand * 2) == A * 2
+
+
+def test_threads_reading_the_hash_at_once_agree():
+    c = coeffs(parse(" + ".join(f"{k} x^{k} y" for k in range(1, 400))))
+    barrier = threading.Barrier(8)
+    got = []
+
+    def read():
+        barrier.wait(timeout=30)
+        got.append(c.hash)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and set(got) == {c.hash}
+
+
+def test_zap_loads_no_hashlib_until_a_hash_is_read():
+    code = (
+        "import sys\n"
+        "import sparsepoly as sp\n"
+        "x = sp.parse('1 - 0.11*x + 0.005*x*y') ** 2\n"
+        "cx = sp.coeffs(x)\n"
+        "sp.set_coeffs(x, cx.assign(abs(cx) < 0.01, 0))\n"
+        "assert 'hashlib' not in sys.modules\n"
+        "assert len(cx.hash) == 64\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    src = str(Path(sparsepoly.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -3,7 +3,9 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -162,6 +164,17 @@ def test_subvec_rejects_a_value_that_is_not_one_dimensional(value):
     # Checked before any work: the zero under a negative power is not met.
     with pytest.raises(ValueError, match=r"'b' must be a number or a 1-D sequence"):
         subvec(parse("a^-1"), {"a": [0.0, 1.0], "b": value})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[Fraction(1), "2"], [1.0, b"2"], np.array([1, "2"], dtype=object)],
+    ids=["str in list", "bytes in list", "str in object array"],
+)
+def test_subvec_refuses_text_inside_a_sequence(value):
+    with pytest.raises(TypeError, match="^value bound to 'x' must be a number or numbers, not text$"):
+        subvec(parse("x + 1"), x=value)
+    assert subvec(parse("x + 1"), x=[Fraction(1), 2]).tolist() == [2.0, 3.0]
 
 
 def test_subvec_memory_stays_within_the_output_and_one_block():
