@@ -16,6 +16,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -56,7 +57,11 @@ def _number(token: str) -> float:
     divisor = float(den) if slash else 1.0
     if divisor == 0.0:
         raise ValueError(f"zero denominator in {token!r}")
-    return float(num) / divisor
+    x = float(num)
+    value = x / divisor
+    if not all(map(math.isfinite, (x, divisor, value))):
+        raise ValueError(f"not a finite number: {token!r}")
+    return value
 
 
 def _number_list(text: str) -> list[float]:

@@ -519,9 +519,13 @@ def from_json(text: str) -> Mvp:
 
     Raises ValueError on a malformed document: ``terms`` that is not an
     array, a term that is not an object with ``powers`` and ``coeff``,
-    ``powers`` that is not an object, a boolean or non-integer power, or a
-    coefficient that is not a number of double range, and on a document
-    nested too deeply for the decoder.
+    ``powers`` that is not an object, a boolean or non-integer power, an
+    invalid symbol name, or a coefficient that is not a number of double
+    range, and on a document nested too deeply for the decoder.  Raises
+    PowerOverflowError (an OverflowError) on a power outside the signed
+    64-bit range, and OverflowError when the coefficients of like terms
+    sum past a double.  The document is read in one pass, so of several
+    faults the first in document order is reported.
     """
     # Imported here, not at module level: only a JSON stdin line needs it,
     # and every CLI stage pays for the package's imports.
@@ -534,8 +538,17 @@ def from_json(text: str) -> Mvp:
     terms = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise ValueError("expected an object with a 'terms' array")
-    pairs = []
-    for entry in terms:
+    return Mvp._from_clean(add_terms({}, _json_terms(terms)))
+
+
+def _json_terms(terms: list) -> Iterator[tuple[Term, float]]:
+    """Check each entry of a parsed ``terms`` array and yield its (term,
+    coefficient) in document order.  Entries are popped as they are read,
+    so the parsed document never sits beside the growing result."""
+    terms.reverse()
+    pop = terms.pop
+    while terms:
+        entry = pop()
         if not isinstance(entry, dict) or "powers" not in entry or "coeff" not in entry:
             raise ValueError(f"expected a term object with 'powers' and 'coeff', got {entry!r}")
         powers, coeff = entry["powers"], entry["coeff"]
@@ -546,12 +559,16 @@ def from_json(text: str) -> Mvp:
         if not is_number or not -_DOUBLE_MAX <= coeff <= _DOUBLE_MAX:
             raise ValueError(f"coefficient must be a finite number, got {coeff!r}")
         # An integral float power becomes an int in place; replacing a
-        # value does not disturb the iteration.
+        # value does not disturb the iteration.  JSON keys are distinct
+        # exact str, so a term of known names and in-range powers is
+        # term_of(powers); normalize_term checks and remembers the rest.
+        known = True
         for s, k in powers.items():
             if type(k) is not int:
                 if isinstance(k, float) and k.is_integer():
                     k = powers[s] = int(k)
                 if isinstance(k, bool) or not isinstance(k, int):
                     raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
-        pairs.append((powers, float(coeff)))
-    return Mvp(pairs)
+            if s not in _VALID_NAMES or not INT64_MIN <= k <= INT64_MAX:
+                known = False
+        yield (term_of(powers) if known else normalize_term(powers)), float(coeff)

@@ -14,9 +14,11 @@ both length and provenance, so the hash survives.
 
 An extraction keeps its source polynomial (so a collection keeps that
 polynomial alive) and computes the digest the first time something reads
-it.  A polynomial never changes what it shows, so two collections from
-the same ``Mvp`` object combine without a digest; ``set_coeffs(p,
-coeffs(p))`` and the zap idiom hash nothing.
+it.  Every collection mapped, zipped or assigned from it shares one
+digest holder with it, so the digest is computed once for them all.  A
+polynomial never changes what it shows, so two collections from the same
+``Mvp`` object combine without a digest; ``set_coeffs(p, coeffs(p))``
+and the zap idiom hash nothing.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ def _same_provenance(a: "Disord", b: "Disord") -> bool:
     return (a._source is not None and a._source is b._source) or a.hash == b.hash
 
 
-def _disord(values, h, source) -> "Disord":
-    """A Disord extracted from ``source`` (or None) with digest ``h``;
-    ``h`` None defers ``provenance_hash(source)`` to the first read."""
+def _disord(values, digest: list, source) -> "Disord":
+    """A Disord extracted from ``source`` (or None) whose digest is
+    ``digest[0]``; None there defers ``provenance_hash(source)`` to the
+    first read.  Collections derived from one another share the list."""
     d = object.__new__(Disord)
     d._values = tuple(values)
-    d._hash = h
+    d._digest = digest
     d._source = source
     return d
 
@@ -118,13 +121,13 @@ class Disord:
     and ``set_coeffs`` to write coefficients back into a polynomial.
     """
 
-    __slots__ = ("_values", "_hash", "_source")
+    __slots__ = ("_values", "_digest", "_source")
 
     def __init__(self, values, provenance: str):
         if not isinstance(provenance, str):
             raise TypeError(f"provenance must be a str, not {type(provenance).__name__}")
         self._values = tuple(values)
-        self._hash = provenance
+        self._digest = [provenance]
         self._source = None
 
     @property
@@ -134,9 +137,10 @@ class Disord:
     @property
     def hash(self) -> str:
         # Unlocked: threads that race here compute and store equal strings.
-        if self._hash is None:
-            self._hash = provenance_hash(self._source)
-        return self._hash
+        digest = self._digest
+        if digest[0] is None:
+            digest[0] = provenance_hash(self._source)
+        return digest[0]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -146,12 +150,12 @@ class Disord:
 
     def map(self, f: Callable) -> "Disord":
         """Apply a function per element; provenance is preserved."""
-        return _disord((f(v) for v in self._values), self._hash, self._source)
+        return _disord((f(v) for v in self._values), self._digest, self._source)
 
     def zip_with(self, other: "Disord", f: Callable) -> "Disord":
         """Combine elementwise with another Disord of equal hash and length."""
         values = self._same(other, "operand", "zip_with needs another Disord")
-        return _disord(map(f, self._values, values), self._hash, self._source)
+        return _disord(map(f, self._values, values), self._digest, self._source)
 
     __add__, __radd__ = _elementwise(operator.add)
     __sub__, __rsub__ = _elementwise(operator.sub)
@@ -209,7 +213,7 @@ class Disord:
         values = list(self._values)
         for i, v in zip(kept, new):
             values[i] = v
-        return _disord(values, self._hash, self._source)
+        return _disord(values, self._digest, self._source)
 
     def sum(self):
         """Order-independent reduction; lawful on any single collection.
@@ -256,7 +260,7 @@ def _filtered_hash(parent: str, kept_indices) -> str:
 
 def coeffs(p: Mvp) -> Disord:
     """The coefficients of a polynomial, in no particular order."""
-    return _disord(p._canonical().values(), None, p)
+    return _disord(p._canonical().values(), [None], p)
 
 
 def powers(p: Mvp) -> Disord:
@@ -265,12 +269,12 @@ def powers(p: Mvp) -> Disord:
         PowerRow(tuple(s for s, _ in t), tuple(k for _, k in t))
         for t, _ in p.terms()
     )
-    return _disord(rows, None, p)
+    return _disord(rows, [None], p)
 
 
 def variables(p: Mvp) -> Disord:
     """The symbol sequence of each term, parallel to ``coeffs``/``powers``."""
-    return _disord((tuple(s for s, _ in t) for t, _ in p.terms()), None, p)
+    return _disord((tuple(s for s, _ in t) for t, _ in p.terms()), [None], p)
 
 
 def set_coeffs(p: Mvp, d: Disord) -> Mvp:
@@ -282,7 +286,7 @@ def set_coeffs(p: Mvp, d: Disord) -> Mvp:
     """
     # An empty extraction of p stands for coeffs(p)'s provenance.
     values = _same_source(
-        _disord((), None, p), len(p._terms), d, "replacement", "set_coeffs needs a Disord"
+        _disord((), [None], p), len(p._terms), d, "replacement", "set_coeffs needs a Disord"
     )
     out = {}
     for t, c in zip(p._canonical(), values):

@@ -11,11 +11,13 @@ equality.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import operator
 import random
 import signal
 import struct
+import sys
 
 import numpy as np
 
@@ -141,7 +143,7 @@ def time_limit(seconds: float):
 
 
 # Frozen copies of the per-term loops that subvec, deriv, canonical_json,
-# subs, onevarpow, pow_terms and the packed decode replaced.  The
+# subs, onevarpow, pow_terms, the packed decode and from_json replaced.  The
 # differential tests require the library to give the same bits, stored
 # order and errors as these.
 
@@ -327,3 +329,33 @@ def _decode_loop(key, columns):
             pairs.append((s, digit + low))
     pairs.reverse()
     return tuple(pairs)
+
+
+def from_json_two_pass(text: str) -> Mvp:
+    """Check every entry of the document, then build the terms again
+    through ``Mvp(pairs)``, which runs ``normalize_term`` on each."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    if not isinstance(terms, list):
+        raise ValueError("expected an object with a 'terms' array")
+    pairs = []
+    for entry in terms:
+        if not isinstance(entry, dict) or "powers" not in entry or "coeff" not in entry:
+            raise ValueError(f"expected a term object with 'powers' and 'coeff', got {entry!r}")
+        powers, coeff = entry["powers"], entry["coeff"]
+        if not isinstance(powers, dict):
+            raise ValueError(f"'powers' must be an object, got {powers!r}")
+        is_number = isinstance(coeff, (int, float)) and not isinstance(coeff, bool)
+        if not is_number or not -sys.float_info.max <= coeff <= sys.float_info.max:
+            raise ValueError(f"coefficient must be a finite number, got {coeff!r}")
+        for s, k in powers.items():
+            if type(k) is not int:
+                if isinstance(k, float) and k.is_integer():
+                    k = powers[s] = int(k)
+                if isinstance(k, bool) or not isinstance(k, int):
+                    raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
+        pairs.append((powers, float(coeff)))
+    return Mvp(pairs)

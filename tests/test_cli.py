@@ -302,6 +302,22 @@ def test_bad_number_list_message_names_the_reason(capsys, command, numbers, reas
     assert err == f"sparsepoly: {reason}"
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf", "inf", "1e999", "1e308/1e-308", "1/inf", "nan/2"])
+@pytest.mark.parametrize("command", ["horner", "subvec"])
+def test_a_non_finite_number_is_refused_by_name(capsys, command, token):
+    # Not reported as a coefficient that overflows: the user typed it.
+    argv = ["horner", "x", f"1,{token}"] if command == "horner" else ["subvec", "x", f"x=1,{token}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"sparsepoly: not a finite number: {token!r}")
+
+
+def test_number_list_refuses_non_finite_tokens_with_value_error():
+    for token in ("nan", "inf", "1e999", "1e308/1e-308"):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            cli._number_list(f"2,{token}")
+    assert cli._number_list("1e308,-1e308/2,1/3") == [1e308, -5e307, 1 / 3]
+
+
 # One malformed entry per kind for every subcommand that takes an argument
 # list, with the reason it prints after "sparsepoly: ".
 _MALFORMED_LISTS = [

@@ -1,5 +1,7 @@
 """The read-side loops against frozen copies of the per-term loops they
-replaced (``helpers.*_loop``), on seeded random float polynomials.
+replaced (``helpers.*_loop``), on seeded random float polynomials, and
+``from_json`` against the two-pass reader it replaced
+(``helpers.from_json_two_pass``) on seeded documents.
 
 Every result must be the same to the bit: ``subvec`` arrays in
 ``tobytes()``, polynomial results in their stored term order, JSON bytes
@@ -7,6 +9,7 @@ and provenance hashes, and each error in its type and message.
 """
 
 import hashlib
+import json
 import math
 import random
 import re
@@ -17,6 +20,7 @@ import pytest
 from helpers import (
     canonical_json_loop,
     deriv_once_loop,
+    from_json_two_pass,
     onevarpow_loop,
     subvec_loop,
     substitute_one_loop,
@@ -26,13 +30,15 @@ from sparsepoly import (
     aderiv,
     canonical_json,
     deriv,
+    from_json,
     onevarpow,
     parse,
     provenance_hash,
     subs,
     subvec,
 )
-from sparsepoly.core import INT64_MIN, PowerOverflowError, check_finite
+from sparsepoly import core
+from sparsepoly.core import INT64_MAX, INT64_MIN, PowerOverflowError, check_finite, validate
 
 SYMBOLS = "abcd"
 SEEDS = range(300)
@@ -309,3 +315,180 @@ def test_onevarpow_refuses_a_non_integer_target(p, target):
     message = f"target power of 'a' must be an integer, got {re.escape(repr(target))}"
     with pytest.raises(TypeError, match=message):
         onevarpow(p, {"b": 1, "a": target})
+
+
+# from_json against the two-pass reader.  A document's entries repeat a
+# few terms, written with their keys in any order, with zero and integral
+# float powers, so like terms sum in document order; some entries cancel
+# a term's running sum to exactly 0.0 and a later one brings it back, so
+# the stored order differs from the order of first appearance.
+
+JSON_NAMES = ("a", "b", "c", "x1", "y_2", "Z")
+
+
+def json_power(rng: random.Random):
+    r = rng.random()
+    if r < 0.1:
+        return rng.choice((INT64_MIN, INT64_MAX, float(INT64_MIN)))
+    if r < 0.3:
+        return float(rng.randint(-3, 3)) if rng.random() < 0.8 else -0.0
+    return rng.randint(-3, 3)
+
+
+def json_coeff(rng: random.Random):
+    r = rng.random()
+    if r < 0.2:
+        return rng.randint(-(10**6), 10**6)
+    if r < 0.25:
+        return rng.randint(-(2**70), 2**70)
+    if r < 0.4:
+        return rng.choice((-1, 1)) * 5e-324 * rng.randint(1, 2**20)
+    return rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-300, 300)
+
+
+def json_key(powers: dict) -> tuple:
+    return tuple(sorted((s, int(k)) for s, k in powers.items() if k != 0))
+
+
+def restyled(rng: random.Random, powers: dict) -> dict:
+    """The same term written another way: keys in another order, an
+    integral float for a small int, maybe a zero power more."""
+    items = [(s, float(k) if abs(k) < 4 and rng.random() < 0.3 else k) for s, k in powers.items()]
+    rng.shuffle(items)
+    if rng.random() < 0.3:
+        absent = [n for n in JSON_NAMES if n not in powers]
+        items.append((rng.choice(absent), rng.choice((0, 0.0, -0.0))))
+    return dict(items)
+
+
+def random_document(rng: random.Random, names=JSON_NAMES) -> list:
+    """Entries of a valid document, in document order."""
+    pool = [
+        {s: json_power(rng) for s in rng.sample(names, rng.randint(0, 3))}
+        for _ in range(rng.randint(1, 8))
+    ]
+    entries = []
+    sums = {}
+    for _ in range(rng.randint(0, 30)):
+        powers = rng.choice(pool)
+        entries.append({"powers": restyled(rng, powers), "coeff": json_coeff(rng)})
+        key = json_key(powers)
+        # add_terms' own arithmetic, to find a sum to cancel.
+        total = sums.get(key, 0.0) + float(entries[-1]["coeff"])
+        sums[key] = total
+        if total != 0.0 and rng.random() < 0.3:
+            entries.append({"powers": restyled(rng, powers), "coeff": -total})
+            sums[key] = 0.0
+    return entries
+
+
+def read_json(f, text: str):
+    """The stored terms with each coefficient's bits, or the error."""
+    try:
+        q = f(text)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    validate(q)
+    return "ok", [(t, c.hex()) for t, c in q._terms.items()]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_from_json_matches_the_two_pass_reader(seed):
+    rng = random.Random(f"from_json:{seed}")
+    text = json.dumps({"terms": random_document(rng)})
+    assert read_json(from_json, text) == read_json(from_json_two_pass, text)
+
+
+def test_from_json_differential_covers_cancelled_terms_that_come_back():
+    moved = 0
+    for seed in SEEDS:
+        entries = random_document(random.Random(f"from_json:{seed}"))
+        got = read_json(from_json, json.dumps({"terms": entries}))
+        assert got[0] == "ok"
+        first_seen = list(dict.fromkeys(json_key(e["powers"]) for e in entries))
+        stored = [t for t, _ in got[1]]
+        moved += stored != [t for t in first_seen if t in stored]
+    assert moved >= 10
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_from_json_matches_the_two_pass_reader_on_names_never_seen(monkeypatch, seed):
+    rng = random.Random(f"from_json-fresh:{seed}")
+    names = tuple(f"n{seed}_{i}" for i in range(4)) + ("a",)
+    text = json.dumps({"terms": random_document(rng, names)})
+    monkeypatch.setattr(core, "_VALID_NAMES", set())
+    got = read_json(from_json, text)
+    remembered = core._VALID_NAMES
+    monkeypatch.setattr(core, "_VALID_NAMES", set())
+    assert got == read_json(from_json_two_pass, text)
+    assert remembered == core._VALID_NAMES
+
+
+# One fault, placed among valid entries: the entry that replaces a valid
+# one, or the entries that make a document overflow.
+_ENTRY_FAULTS = [
+    3,
+    None,
+    "x",
+    [],
+    {"powers": {"a": 1}},
+    {"coeff": 1.0},
+    {"powers": [], "coeff": 1.0},
+    {"powers": None, "coeff": 1.0},
+    {"powers": {"a": 1}, "coeff": "1"},
+    {"powers": {"a": 1}, "coeff": True},
+    {"powers": {"a": 1}, "coeff": None},
+    {"powers": {"a": 1}, "coeff": float("nan")},
+    {"powers": {"a": 1}, "coeff": float("inf")},
+    {"powers": {"a": 1}, "coeff": 10**400},
+    {"powers": {"a": 1, "b": 1.5}, "coeff": 1.0},
+    {"powers": {"a": True}, "coeff": 1.0},
+    {"powers": {"a": "2"}, "coeff": 1.0},
+    {"powers": {"a": None}, "coeff": 1.0},
+    {"powers": {"a": 1, "1x": 2}, "coeff": 1.0},
+    {"powers": {"": 1}, "coeff": 1.0},
+    {"powers": {"a-b": 1}, "coeff": 1.0},
+    {"powers": {"\u00e9": 1}, "coeff": 1.0},
+    {"powers": {"b": 1, "a": 2**63}, "coeff": 1.0},
+    {"powers": {"a": -(2**63) - 1}, "coeff": 1.0},
+    {"powers": {"a": float(2**63)}, "coeff": 1.0},
+]
+
+
+@pytest.mark.parametrize("fault", range(len(_ENTRY_FAULTS) + 1))
+@pytest.mark.parametrize("seed", range(8))
+def test_from_json_single_fault_raises_as_the_two_pass_reader(seed, fault):
+    rng = random.Random(f"from_json-fault:{seed}")
+    entries = [
+        {"powers": {s: rng.randint(-3, 3) for s in rng.sample("abc", 2)}, "coeff": rng.random()}
+        for _ in range(rng.randint(0, 6))
+    ]
+    if fault < len(_ENTRY_FAULTS):
+        bad = [_ENTRY_FAULTS[fault]]
+    else:
+        bad = [
+            {"powers": {"c": 1, "a": 2}, "coeff": 1.5e308},
+            {"powers": {"a": 2, "c": 1}, "coeff": 1e308},
+        ]
+    at = rng.randint(0, len(entries))
+    text = json.dumps({"terms": entries[:at] + bad + entries[at:]})
+    got = read_json(from_json, text)
+    assert got[0] != "ok"
+    assert got == read_json(from_json_two_pass, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", "3", "{}", '{"terms": 3}', '{"terms": {}}', '{"terms": null}', "[" * 100_000],
+)
+def test_from_json_document_faults_raise_as_the_two_pass_reader(text):
+    got = read_json(from_json, text)
+    assert got[0] is ValueError
+    assert got == read_json(from_json_two_pass, text)
+
+
+def test_from_json_reports_the_first_of_two_faults_in_document_order():
+    # The two-pass reader checked every entry's shape before any name.
+    text = '{"terms":[{"powers":{"1x":1},"coeff":1.0},{"powers":[],"coeff":1.0}]}'
+    assert outcome(from_json, text) == (ValueError, "invalid symbol name: '1x'")
+    assert outcome(from_json_two_pass, text) == (ValueError, "'powers' must be an object, got []")

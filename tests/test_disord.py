@@ -366,6 +366,17 @@ def test_hash_is_computed_once_when_read(digests):
     assert c.hash is first and len(digests) == 1
 
 
+def test_collections_derived_from_one_extraction_hash_once(digests):
+    c = coeffs(A)
+    m = c > 0
+    a = abs(c)
+    kept = c.assign(m, 0) + a.map(float)
+    assert c.hash == m.hash == a.hash == kept.hash == provenance_hash(A)
+    assert digests == [A]
+    later = c.zip_with(m, lambda v, keep: v if keep else -v)
+    assert later.hash == c.hash and digests == [A]
+
+
 def test_equal_polynomials_combine_and_others_still_refuse():
     twin = parse(render(A))
     assert twin is not A and twin == A
