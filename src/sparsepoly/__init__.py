@@ -7,10 +7,10 @@ series tooling, hash-disciplined coefficient access, the paper's knight
 and random-polynomial examples) is a pure function over those maps.  The
 command-line front end (``sparsepoly.cli``) sits on top of the library
 and nothing in the library imports it.  The whole package is pure
-Python; numpy is loaded only when ``subvec`` or a product that takes
-the multiply kernel's packed path first runs: one whose operands both
-have at least 8 terms and whose packed key space is either small next to
-its term pairs or, with at least 512 pairs, fits in 64 bits.
+Python; numpy is loaded the first time ``subvec`` runs, a product takes
+the packed path (both operands of at least 8 terms, and a key space
+either small next to the term pairs or, with at least 512 pairs, within
+64 bits), or a power squares an operand of at least 8 terms.
 ``backend_name()`` names the multiply kernel and always returns
 ``"python"``.
 

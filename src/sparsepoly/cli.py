@@ -241,7 +241,7 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--onevarpow", dest="entries", metavar="a=1,b=1", help="extract an exact power pattern"
     )
-    p.set_defaults(read=lambda raw: raw and ints(raw.split(",")))
+    p.set_defaults(read=lambda raw: raw if raw is None else ints(raw.split(",")))
     group.add_argument(
         "--expected-distance",
         action="store_true",

@@ -66,20 +66,6 @@ def provenance_hash(p: Mvp) -> str:
     return _digest(canonical_json(p))
 
 
-def _same_source(d: "Disord", n: int, other, noun: str, needs: str) -> tuple:
-    """The values of ``other`` if it is a Disord of length ``n`` with the
-    provenance of ``d`` (the same source polynomial, else the same hash);
-    else TypeError ``needs``, HashMismatch or ValueError on ``noun``.
-    """
-    if not isinstance(other, Disord):
-        raise TypeError(needs)
-    if not _same_provenance(d, other):
-        raise HashMismatch(d.hash, other.hash)
-    if len(other._values) != n:
-        raise ValueError(f"{noun} has wrong length")
-    return other._values
-
-
 def _same_provenance(a: "Disord", b: "Disord") -> bool:
     """Whether two Disords share a provenance: extractions of one Mvp
     object do without a digest, any others when their hashes agree."""
@@ -175,7 +161,16 @@ class Disord:
         return self.map(operator.neg)
 
     def _same(self, other, noun: str, needs: str = "") -> tuple:
-        return _same_source(self, len(self._values), other, noun, needs)
+        """The values of ``other`` if it is a Disord of this length and
+        provenance; else TypeError ``needs``, HashMismatch or ValueError on
+        ``noun``."""
+        if not isinstance(other, Disord):
+            raise TypeError(needs)
+        if not _same_provenance(self, other):
+            raise HashMismatch(self.hash, other.hash)
+        if len(other._values) != len(self._values):
+            raise ValueError(f"{noun} has wrong length")
+        return other._values
 
     def _kept(self, mask: "Disord", what: str) -> list:
         """The positions a same-source boolean mask keeps."""
@@ -284,10 +279,7 @@ def set_coeffs(p: Mvp, d: Disord) -> Mvp:
     that ``coeffs(p)`` produces, with one value per term; zero replacements delete their terms, which is the
     mechanism for zapping small coefficients.
     """
-    # An empty extraction of p stands for coeffs(p)'s provenance.
-    values = _same_source(
-        _disord((), [None], p), len(p._terms), d, "replacement", "set_coeffs needs a Disord"
-    )
+    values = coeffs(p)._same(d, "replacement", "set_coeffs needs a Disord")
     out = {}
     for t, c in zip(p._canonical(), values):
         c = c if type(c) is float else _coefficient(c)

@@ -20,7 +20,6 @@ Parentheses and ``/`` are not part of the language.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
@@ -65,7 +64,7 @@ def parse(text: str) -> Mvp:
     what came before, each number for a finite double, each exponent and
     each summed power against the signed 64-bit range; the first failing
     check raises, with the offset and message of the grammar position it
-    failed at (the step's offsets are looked up only then).
+    failed at.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, got {type(text).__name__}")
@@ -79,14 +78,15 @@ def _signed_terms(text: str):
     # after an atom, a separator and an atom continue the product, and a
     # sign or the end of the text closes it.
     after_atom = False
-    steps = map(re.Match.groups, _STEP.finditer(text))
-    for i, (sep, op, number, fraction, name, minus, digits, end) in enumerate(steps):
+    for m in _STEP.finditer(text):
+        sep, op, number, fraction, name, minus, digits, end = m.groups()
         if not after_atom and "*" in sep:
-            at = _step(text, i).start() + sep.index("*")
-            raise ParseError(at, "expected a number or symbol")
+            raise ParseError(m.start() + sep.index("*"), "expected a number or symbol")
         if name is None and number is None:
             star = "*" in sep
-            if op and not star and (after_atom or i == 0):
+            # Steps are contiguous and a step that reads nothing raises, so
+            # only the first step starts at offset 0.
+            if op and not star and (after_atom or m.start() == 0):
                 if after_atom:
                     yield term_of(powers), sign * coeff
                     coeff, powers, after_atom = 1.0, {}, False
@@ -95,8 +95,8 @@ def _signed_terms(text: str):
             if end is not None and after_atom and not star:
                 yield term_of(powers), sign * coeff
                 return
-            at = _step(text, i).end() - bool(op)
-            if i == 0 and end is not None:
+            at = m.end() - bool(op)
+            if end is not None and m.start() == 0:
                 raise ParseError(at, "empty expression")
             if star:
                 raise ParseError(at, "expected a factor after '*'")
@@ -104,42 +104,35 @@ def _signed_terms(text: str):
                 raise ParseError(at, "expected a number or symbol")
             raise ParseError(at, f"unexpected character {text[at]!r}")
         if after_atom and not sep:
-            at = _step(text, i).start()
-            raise ParseError(at, f"unexpected character {text[at]!r}")
+            raise ParseError(m.start(), f"unexpected character {text[m.start()]!r}")
         after_atom = True
         if name is None:
             if fraction == "":
-                raise ParseError(_step(text, i).end(), "invalid number: expected digits after '.'")
+                raise ParseError(m.end(), "invalid number: expected digits after '.'")
             value = float(number)
             if not math.isfinite(value):
-                raise ParseError(_step(text, i).start("number"), "number too large for a double")
+                raise ParseError(m.start("number"), "number too large for a double")
             coeff *= value
             continue
         k = 1
         if digits is not None:
             if not digits:
-                message = "invalid exponent: expected digits after '^'"
-                raise ParseError(_step(text, i).end(), message)
+                raise ParseError(m.end(), "invalid exponent: expected digits after '^'")
             # int() refuses over 4,300 digits; INT64_MIN and INT64_MAX have 19.
             if len(digits) > 19:
                 digits = digits.lstrip("0") or "0"
                 if len(digits) > 19:
                     message = f"exponent of {len(digits)} digits outside the signed 64-bit range"
-                    raise ParseError(_step(text, i).start("sign"), message)
+                    raise ParseError(m.start("sign"), message)
             k = int(minus + digits)
             if not INT64_MIN <= k <= INT64_MAX:
                 message = f"exponent {k} outside the signed 64-bit range"
-                raise ParseError(_step(text, i).start("sign"), message)
+                raise ParseError(m.start("sign"), message)
         k += powers.get(name, 0)
         if not INT64_MIN <= k <= INT64_MAX:
             message = f"power {k} of {name} outside the signed 64-bit range"
-            raise ParseError(_step(text, i).start("symbol"), message)
+            raise ParseError(m.start("symbol"), message)
         powers[name] = k
-
-
-def _step(text: str, i: int) -> re.Match:
-    """The match of the ``i``-th step through ``text``, to place an error."""
-    return next(itertools.islice(_STEP.finditer(text), i, None))
 
 
 def parse_or_lift(value) -> Mvp:

@@ -17,7 +17,7 @@ polynomial prints "0".
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .core import Mvp, power_of, require_symbol
 
@@ -48,16 +48,17 @@ def _term_text(pairs, magnitude: float) -> str:
 def render(
     p: Mvp,
     order: str = "canonical",
-    varorder: Optional[Sequence[str]] = None,
+    varorder: Optional[Union[str, Sequence[str]]] = None,
 ) -> str:
     """Render a polynomial to its canonical text form.
 
     ``order="lex"`` takes an optional ``varorder`` giving the variable
     precedence (alphabetical by default); when given it must cover every
-    symbol of ``p`` and name each symbol once.  The text parses back to an
-    equal polynomial only when every coefficient has at most 7 significant
-    digits, since ``format_number`` rounds to 7: ``parse(render(x / 3))``
-    differs from ``x / 3``.  ``canonical_json`` is the lossless form.
+    symbol of ``p`` and name each symbol once; a str is one symbol name,
+    as in ``deriv``.  The text parses back to an equal polynomial only
+    when every coefficient has at most 7 significant digits, since
+    ``format_number`` rounds to 7: ``parse(render(x / 3))`` differs from
+    ``x / 3``.  ``canonical_json`` is the lossless form.
     """
     if order == "canonical":
         if varorder is not None:
@@ -65,6 +66,8 @@ def render(
         items = [(t, c) for t, c in p.terms()]
     elif order == "lex":
         syms = p.symbols()
+        if isinstance(varorder, str):
+            varorder = [varorder]
         vo = [require_symbol(s) for s in varorder] if varorder is not None else sorted(syms)
         repeated = sorted({s for s in vo if vo.count(s) > 1})
         if repeated:

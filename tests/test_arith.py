@@ -104,6 +104,12 @@ def test_power_rejects_negative_exponent():
         power(parse("x"), -1)
 
 
+def test_reflected_subtraction_refuses_a_non_number():
+    assert 1 - parse("y") == parse("1 - y")
+    with pytest.raises(TypeError):
+        "x" - parse("y")
+
+
 def test_scalar_division():
     assert parse("4 x") / 2 == parse("2 x")
     with pytest.raises(TypeError):

@@ -336,6 +336,7 @@ _MALFORMED_LISTS = [
     (["knight", "2", "--onevarpow", "a"], "expected name=value, got 'a'"),
     (["knight", "2", "--onevarpow", "a=1,b="], "expected name=value, got 'b='"),
     (["knight", "2", "--onevarpow", "a=x"], "invalid literal for int() with base 10: 'x'"),
+    (["knight", "2", "--onevarpow", ""], "expected name=value, got ''"),
 ]
 _MALFORMED_IDS = [" ".join(argv) for argv, _ in _MALFORMED_LISTS]
 

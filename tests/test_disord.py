@@ -64,6 +64,17 @@ def test_cross_object_zip_is_rejected():
     assert coeffs(b).hash in (exc.value.hash1, exc.value.hash2)
 
 
+def test_equal_collections_hash_equal():
+    c = coeffs(A)
+    assert len({coeffs(A), coeffs(A)}) == 1
+    assert hash(c) == hash(Disord(c.values, c.hash))
+
+
+def test_a_collection_never_equals_a_non_collection():
+    assert (coeffs(A) == 1) is False
+    assert coeffs(A) != list(coeffs(A).values)
+
+
 def test_map_keeps_hash():
     ca = coeffs(A)
     mask = ca > 0

@@ -1,6 +1,7 @@
 """Rendering: number formatting, term order, series display."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -78,6 +79,14 @@ def test_lex_order_defaults_to_alphabetical():
 def test_lex_incomplete_varorder_rejected():
     with pytest.raises(ValueError, match="cover"):
         render(parse("x + y"), order="lex", varorder=["x"])
+
+
+def test_lex_varorder_str_is_one_symbol_name():
+    # Not its characters: "yx" names the symbol yx, which covers neither x nor y.
+    with pytest.raises(ValueError, match=re.escape("varorder does not cover symbols: ['x', 'y']")):
+        render(parse("x + y"), order="lex", varorder="yx")
+    assert render(parse("x^2 + 3 x"), order="lex", varorder="x") == "x^2 + 3 x"
+    assert render(parse("ab^2 + ab"), order="lex", varorder="ab") == "ab^2 + ab"
 
 
 def test_lex_repeated_varorder_rejected():
