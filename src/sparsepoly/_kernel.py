@@ -44,7 +44,7 @@ is in it, and a dict for two dicts.
 
 import math
 
-from .core import INT64_MAX, INT64_MIN, PowerOverflowError
+from .core import _PAIRS, INT64_MAX, INT64_MIN, PowerOverflowError
 
 # Fewest terms in each operand for the packed path, most keys per term pair
 # for its dense accumulator, and fewest term pairs for its sort accumulator
@@ -85,7 +85,7 @@ def merge_terms(t1, t2):
                     raise PowerOverflowError(
                         f"power {k} of {s1!r} outside the signed 64-bit range"
                     )
-                out.append((s1, k))
+                out.append(_PAIRS[s1, k])
             i += 1
             j += 1
     out.extend(t1[i:])
@@ -466,10 +466,10 @@ def _half_terms(halves, size, columns):
 
 def _column_terms(symbol, powers):
     """An object array of the one-symbol terms of an int64 array of powers,
-    ``()`` for power 0."""
+    ``()`` for power 0, their pairs the shared ones."""
     import numpy as np
 
-    return np.frompyfunc(lambda k: ((symbol, k),) if k else (), 1, 1)(powers)
+    return np.frompyfunc(lambda k: (_PAIRS[symbol, k],) if k else (), 1, 1)(powers)
 
 
 def backend_name() -> str:

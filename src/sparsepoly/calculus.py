@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from typing import Sequence, Union
 
-from .core import Mvp, _coefficient, check_finite, check_power, named_pairs, require_symbol
+from .core import _PAIRS, Mvp, _coefficient, check_finite, check_power, named_pairs, require_symbol
 from .parser import parse_or_lift
 
 
@@ -14,8 +14,10 @@ def _deriv_once(terms: dict, symbol: str) -> dict:
 
     Distinct terms that hold the symbol give distinct terms, and ``c*k``
     is never 0, so nothing is summed and a plain dict keeps the order.
+    Each power's lowered pair is looked up in ``_PAIRS`` once per call.
     """
     out = {}
+    lowered = {1: ()}
     for t, c in terms.items():
         i = 0
         for s, k in t:
@@ -24,10 +26,10 @@ def _deriv_once(terms: dict, symbol: str) -> dict:
             i += 1
         else:
             continue
-        if k == 1:
-            out[t[:i] + t[i + 1 :]] = c * k
-        else:
-            out[t[:i] + ((symbol, check_power(k - 1)),) + t[i + 1 :]] = c * k
+        pair = lowered.get(k)
+        if pair is None:
+            pair = lowered[k] = (_PAIRS[symbol, check_power(k - 1)],)
+        out[t[:i] + pair + t[i + 1 :]] = c * k
     return out
 
 

@@ -46,6 +46,34 @@ _VALID_NAMES: set = set()
 _VALID_NAMES_MAX = 4096
 
 
+class _PairTable(dict):
+    """Each (symbol, power) pair once: ``_PAIRS[pair]`` is the stored pair
+    equal to ``pair``, stored first if absent.  Emptied when full."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        if len(self) >= _PAIRS_MAX:
+            self.clear()
+        self[pair] = pair
+        return pair
+
+
+# Every producer of new terms takes its pairs from here, so a stored term
+# costs its own tuple and no pairs.  It also spares the collector: CPython
+# untracks a tuple of untracked items at a young collection, but it visits
+# a new term before the new pairs behind it, so a term of fresh pairs
+# stays tracked into the old generation, and enough of those set off full
+# collections that free nothing.  A pair from this table has been seen
+# untracked already, so a term of them is untracked at its first
+# collection.  Full, the table holds about 3 MB.
+_PAIRS = _PairTable()
+_PAIRS_MAX = 1 << 14
+# Bound once: looking the method up on the subclass cost more per term
+# than the lookups of a two-pair term.
+_pair = _PAIRS.__getitem__
+
+
 class PowerOverflowError(OverflowError):
     """A power left the signed 64-bit range during power arithmetic."""
 
@@ -176,10 +204,12 @@ def normalize_term(raw_pairs) -> Term:
 
 def term_of(powers: dict) -> Term:
     """The term of a {symbol: summed power} map: symbols sorted, zero
-    powers dropped.  Names and ranges are the caller's to check."""
+    powers dropped, each pair the shared one of ``_PAIRS``.  Names and
+    ranges are the caller's to check."""
+    pairs = powers.items()
     if 0 in powers.values():
-        return tuple(sorted(pair for pair in powers.items() if pair[1] != 0))
-    return tuple(sorted(powers.items()))
+        pairs = [pair for pair in pairs if pair[1] != 0]
+    return tuple(map(_pair, sorted(pairs)))
 
 
 def total_degree(t: Term) -> int:
@@ -520,12 +550,15 @@ def from_json(text: str) -> Mvp:
     Raises ValueError on a malformed document: ``terms`` that is not an
     array, a term that is not an object with ``powers`` and ``coeff``,
     ``powers`` that is not an object, a boolean or non-integer power, an
-    invalid symbol name, or a coefficient that is not a number of double
-    range, and on a document nested too deeply for the decoder.  Raises
-    PowerOverflowError (an OverflowError) on a power outside the signed
-    64-bit range, and OverflowError when the coefficients of like terms
-    sum past a double.  The document is read in one pass, so of several
-    faults the first in document order is reported.
+    invalid symbol name, a coefficient that is not a number of double
+    range, or a name repeated within one object, and on a document nested
+    too deeply for the decoder.  Raises PowerOverflowError (an
+    OverflowError) on a power outside the signed 64-bit range, and
+    OverflowError when the coefficients of like terms sum past a double.
+    The document is read in one pass, so of several faults the first in
+    document order is reported.  A repeated name is looked for once every
+    entry has been read: a fault in an entry is reported before it, and
+    it before a sum that overflows.
     """
     # Imported here, not at module level: only a JSON stdin line needs it,
     # and every CLI stage pays for the package's imports.
@@ -538,13 +571,20 @@ def from_json(text: str) -> Mvp:
     terms = doc.get("terms") if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise ValueError("expected an object with a 'terms' array")
-    return Mvp._from_clean(add_terms({}, _json_terms(terms)))
+    return Mvp._from_clean(add_terms({}, _json_terms(terms, text, len(doc))))
 
 
-def _json_terms(terms: list) -> Iterator[tuple[Term, float]]:
+def _json_terms(terms: list, text, names: int) -> Iterator[tuple[Term, float]]:
     """Check each entry of a parsed ``terms`` array and yield its (term,
     coefficient) in document order.  Entries are popped as they are read,
-    so the parsed document never sits beside the growing result."""
+    so the parsed document never sits beside the growing result.
+
+    ``names`` counts the object members read so far, where ``json.loads``
+    keeps the last value of a repeated name without a word.  Each member
+    of a JSON text is followed by one ':' and any other ':' is inside a
+    string, so a text with no more ':' than the members read repeats no
+    name; only another text is decoded again to look for one.
+    """
     terms.reverse()
     pop = terms.pop
     while terms:
@@ -571,4 +611,22 @@ def _json_terms(terms: list) -> Iterator[tuple[Term, float]]:
                     raise ValueError(f"non-integer power {k!r} for symbol {s!r}")
             if s not in _VALID_NAMES or not INT64_MIN <= k <= INT64_MAX:
                 known = False
+        names += len(entry) + len(powers)
         yield (term_of(powers) if known else normalize_term(powers)), float(coeff)
+    if names != text.count(":" if isinstance(text, str) else b":"):
+        _refuse_repeated_names(text)
+
+
+def _refuse_repeated_names(text) -> None:
+    """Raise ValueError naming the first name repeated within one object
+    of a JSON text, in the order the objects close."""
+    import json
+
+    def check(pairs):
+        seen = set()
+        for s, _ in pairs:
+            if s in seen:
+                raise ValueError(f"repeated key {s!r} in a JSON object")
+            seen.add(s)
+
+    json.loads(text, object_pairs_hook=check)

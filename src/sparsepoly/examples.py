@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .core import Mvp, add_terms, require_symbol
+from .core import Mvp, add_terms, require_symbol, term_of
 from .disord import coeffs, powers
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -30,8 +30,7 @@ def knight(dimension: int) -> Mvp:
                 continue
             for si in (2, -2):
                 for sj in (1, -1):
-                    term = tuple(sorted(((syms[i], si), (syms[j], sj))))
-                    out[term] = 1.0
+                    out[term_of({syms[i]: si, syms[j]: sj})] = 1.0
     return Mvp._from_clean(out)
 
 
@@ -70,7 +69,7 @@ def rmvp(
             for _ in range(symbols_per_term):
                 s = rng.choice(pool)
                 merged[s] = merged.get(s, 0) + rng.randint(1, max_power)
-            yield tuple(sorted(merged.items())), coeff
+            yield term_of(merged), coeff
 
     return Mvp._from_clean(add_terms({}, draws()))
 

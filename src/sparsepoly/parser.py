@@ -51,13 +51,23 @@ class ParseError(ValueError):
         self.message = message
 
 
+class _ProductOverflowError(ParseError, OverflowError):
+    """A product's numeric factors, each a finite double, multiply past one:
+    placed like any ParseError, and an OverflowError like every other
+    coefficient that overflows."""
+
+
 def parse(text: str) -> Mvp:
     """Parse an expression into a polynomial.
 
     Raises ParseError on empty input, dangling operators, invalid
     exponents, powers outside the signed 64-bit range (also when a repeated
-    symbol's powers sum out of it), numbers too large for a double, and
-    characters outside the grammar.
+    symbol's powers sum out of it), numbers too large for a double (also
+    when a product's numeric factors multiply past one, at the factor that
+    overflows; that ParseError is an OverflowError too), and characters
+    outside the grammar.  Raises OverflowError when the coefficients of
+    like terms sum past a double, as in ``A x + A x`` with ``A = "15" +
+    "0" * 307``.
 
     The text is read in one pass of ``_STEP`` matches, each a separator and
     the sign or atom after it.  Each step checks the separator against
@@ -110,9 +120,11 @@ def _signed_terms(text: str):
             if fraction == "":
                 raise ParseError(m.end(), "invalid number: expected digits after '.'")
             value = float(number)
-            if not math.isfinite(value):
-                raise ParseError(m.start("number"), "number too large for a double")
             coeff *= value
+            if not math.isfinite(coeff):
+                if not math.isfinite(value):
+                    raise ParseError(m.start("number"), "number too large for a double")
+                raise _ProductOverflowError(m.start("number"), "coefficient overflows a double")
             continue
         k = 1
         if digits is not None:

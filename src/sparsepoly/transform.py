@@ -11,7 +11,8 @@ from itertools import chain
 
 from ._kernel import mul_terms, pow_terms
 from .core import (
-    Mvp, Record, add_terms, check_power, constant, group_by_power, named_pairs, split_term,
+    _PAIRS, Mvp, Record, add_terms, check_power, constant, group_by_power, named_pairs,
+    split_term,
 )
 from .parser import parse_or_lift
 
@@ -211,5 +212,5 @@ def invert(p: Mvp) -> Mvp:
     """Negate every power of every symbol; coefficients are unchanged."""
     out = {}
     for t, c in p._terms.items():
-        out[tuple((s, check_power(-k)) for s, k in t)] = c
+        out[tuple([_PAIRS[s, check_power(-k)] for s, k in t])] = c
     return Mvp._from_clean(out)

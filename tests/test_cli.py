@@ -599,6 +599,13 @@ def test_coefficient_overflow_exit_code(capsys, monkeypatch):
     assert "overflows a double" in err
 
 
+def test_a_product_of_numbers_that_overflows_is_placed(capsys):
+    big = "1" + "0" * 200
+    code, out, err = run(capsys, "eval", f"x + {big} {big} y")
+    assert (code, out) == (1, "")
+    assert err == "sparsepoly: coefficient overflows a double (at offset 206)"
+
+
 def test_subvec_overflow_exit_code(capsys):
     big = "1" + "0" * 200
     code, out, err = run(capsys, "subvec", f"{big} x", f"x={big}")

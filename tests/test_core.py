@@ -1,8 +1,10 @@
 """Core data model: normalization, accumulate, constant, equality, JSON."""
 
+import gc
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -453,3 +455,154 @@ def test_coefficient_lookup():
 def test_symbols_listing():
     assert parse("3 x y + z^3").symbols() == ("x", "y", "z")
     assert Mvp.zero().symbols() == ()
+
+
+def test_from_json_refuses_a_repeated_key_at_every_level():
+    for text, name in [
+        ('{"terms":[{"powers":{"x":1,"x":2},"coeff":1}]}', "x"),
+        ('{"terms":[{"powers":{"b":1,"a":2,"b":-1},"coeff":1}]}', "b"),
+        ('{"terms":[{"powers":{"x":2.0,"x":1},"coeff":1}]}', "x"),
+        ('{"terms":[{"powers":{"x":1},"coeff":1}],"terms":[]}', "terms"),
+        ('{"terms":[{"powers":{"x":1},"coeff":1,"coeff":5}]}', "coeff"),
+        ('{"terms":[{"powers":{"x":1},"powers":{"y":1},"coeff":1}]}', "powers"),
+    ]:
+        with pytest.raises(ValueError, match=f"^repeated key '{name}' in a JSON object$"):
+            from_json(text)
+
+
+def test_from_json_looks_for_a_repeated_key_only_where_one_may_be():
+    # Extra members and ':' inside strings leave more ':' than the members
+    # read; such a text is decoded again, and refused only for a repeated
+    # name.  Bytes are counted as bytes.
+    extra = '"note":"a:b","meta":{"k":[{"q":1}]}'
+    assert from_json('{"terms":[{"powers":{"x":1},"coeff":2,%s}],%s}' % (extra, extra)) == parse("2 x")
+    with pytest.raises(ValueError, match="^repeated key 'q' in a JSON object$"):
+        from_json('{"terms":[],"meta":{"k":[{"q":1,"q":1}]}}')
+    with pytest.raises(ValueError, match="^repeated key 'x' in a JSON object$"):
+        from_json(b'{"terms":[{"powers":{"x":1,"x":2},"coeff":1}]}')
+    doc = '{"terms":[{"powers":{"x":1,"y":2},"coeff":1}]}'
+    assert from_json(doc.encode("utf-16")) == parse("x y^2")
+
+
+def test_from_json_reports_another_fault_before_a_repeated_key():
+    with pytest.raises(ValueError, match="^invalid symbol name: '1x'$"):
+        from_json('{"terms":[{"powers":{"x":1,"x":2},"coeff":1},{"powers":{"1x":1},"coeff":1}]}')
+    big = '{"powers":{"x":1},"coeff":1e308}'
+    with pytest.raises(ValueError, match="^repeated key 'y' in a JSON object$"):
+        from_json('{"terms":[%s,%s,{"powers":{"y":1,"y":1},"coeff":1}]}' % (big, big))
+
+
+# The pair table: every producer of new terms stores the one shared
+# (symbol, power) pair of each value.
+
+
+def _shares(p, pair):
+    """Whether p's terms hold ``pair``, each time as the table's object."""
+    terms = p._terms if isinstance(p, Mvp) else p
+    found = [q for t in terms for q in t if q == pair]
+    return bool(found) and all(q is core._PAIRS.get(pair) for q in found)
+
+
+def test_every_producer_stores_the_shared_pair():
+    from sparsepoly import deriv, invert, knight, rmvp
+
+    x2 = ("x", 2)
+    for p in [
+        parse("x^2 y + 3 x x z"),
+        from_json('{"terms":[{"powers":{"x":2},"coeff":1}]}'),
+        from_json('{"terms":[{"powers":{"y":1,"x":2},"coeff":1}]}'),
+        from_json('{"terms":[{"powers":{"x":2.0},"coeff":1}]}'),
+        Mvp([({"x": 2, "y": 1}, 1.0)]),
+        Mvp.monomial("x", 2),
+        accumulate(Mvp.zero(), [("x", 1), ("x", 1)], 1.0),
+        {normalize_term({"x": 2}): 1.0},
+        deriv(parse("x^3 y"), "x"),
+        invert(parse("x^-2 + y")),
+        parse("x") ** 2,
+        parse("x y") * parse("x + 1"),
+        rmvp(20, 1, 2, ["x"], seed=1),
+    ]:
+        assert _shares(p, x2), p
+    assert _shares(knight(3), ("a", 2)) and _shares(knight(3), ("c", -1))
+
+
+def test_both_packed_accumulators_and_the_dict_path_store_the_shared_pair(monkeypatch):
+    from sparsepoly import _kernel
+
+    seen = []
+    accumulate_packed = _kernel._accumulate
+
+    def spy(p_keys, p_coeffs, q_keys, q_coeffs, radix):
+        seen.append("dense" if radix is not None else "sort")
+        return accumulate_packed(p_keys, p_coeffs, q_keys, q_coeffs, radix)
+
+    monkeypatch.setattr(_kernel, "_accumulate", spy)
+    box = Mvp([({"x": i, "y": j}, 1.0) for i in range(3) for j in range(3)])
+    sparse = Mvp([({s: k}, 1.0) for s in "abcdefgh" for k in (1, 2, 3)])
+    assert _shares(box * box, ("x", 2)) and seen == ["dense"]
+    assert _shares(sparse * sparse, ("a", 2)) and seen == ["dense", "sort"]
+    assert _shares(box**3, ("y", 3)) and seen[2:] == ["dense", "dense"]
+    d = _kernel.mul_terms_dict({(("x", 1), ("y", 1)): 1.0}, {(("x", 1),): 2.0})
+    assert _shares(d, ("x", 2)) and len(seen) == 4
+
+
+def _sample_results():
+    """Results of every producer of new terms, as (term, coefficient bits)
+    lists in stored order."""
+    from sparsepoly import deriv, invert, knight, rmvp
+
+    rng = random.Random(2701)
+    p = Mvp(
+        [({s: rng.randint(-40, 40) for s in rng.sample("abcdef", 3)}, rng.random()) for _ in range(60)]
+    )
+    q = Mvp([({s: rng.randint(1, 3) for s in rng.sample("ab", 2)}, rng.random()) for _ in range(9)])
+    results = [
+        p,
+        parse(str(p)),
+        from_json(canonical_json(p)),
+        p * p,
+        q * q,
+        q**4,
+        p * parse("a + b^-1"),
+        deriv(p, "a"),
+        invert(p),
+        knight(5),
+        rmvp(50, 3, 30, 6, seed=3),
+        accumulate(p, {"z": 7}, 1.5),
+    ]
+    return [[(t, c.hex()) for t, c in r._terms.items()] for r in results]
+
+
+def test_a_full_pair_table_is_emptied_and_changes_no_result(monkeypatch):
+    want = _sample_results()
+    monkeypatch.setattr(core, "_PAIRS_MAX", 5)
+    sizes = []
+    missing = core._PairTable.__missing__
+
+    def spy(table, pair):
+        try:
+            return missing(table, pair)
+        finally:
+            sizes.append(len(table))
+
+    monkeypatch.setattr(core._PairTable, "__missing__", spy)
+    core._PAIRS.clear()
+    assert _sample_results() == want
+    assert len(sizes) > 100 and max(sizes) <= 5
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's collector")
+def test_parsed_terms_are_untracked_at_their_first_young_collection():
+    # A term whose pairs the collector has untracked is untracked at its
+    # first young collection, so parsed terms never reach the old
+    # generation still tracked.  The first parse stores the text's pairs.
+    rng = random.Random(2702)
+    terms = {}
+    while len(terms) < 2000:
+        terms[tuple((s, rng.randint(1, 4)) for s in sorted(rng.sample("abcdefgh", 3)))] = None
+    text = " + ".join(" ".join(f"{s}^{k}" for s, k in t) for t in terms)
+    parse(text)
+    gc.collect()
+    held = [parse(text) for _ in range(5)]
+    gc.collect(1)
+    assert [sum(map(gc.is_tracked, p._terms)) for p in held] == [0] * 5

@@ -103,17 +103,45 @@ _ERRORS = [
     ("x^-9223372036854775809 x", 2, "exponent -9223372036854775809 outside the signed 64-bit range"),
     ("x^-1 x^9223372036854775808", 7, "exponent 9223372036854775808 outside the signed 64-bit range"),
     ("x x^-9223372036854775809", 4, "exponent -9223372036854775809 outside the signed 64-bit range"),
+    # Finite numeric factors whose product overflows: at the factor that does.
+    ("1" + "0" * 200 + " " + "1" + "0" * 200, 202, "coefficient overflows a double"),
+    ("x 1" + "0" * 200 + " y*1" + "0" * 200 + " z", 206, "coefficient overflows a double"),
+    ("- 1" + "0" * 200 + " 1" + "0" * 200, 204, "coefficient overflows a double"),
+    ("2 " * 1100, 2046, "coefficient overflows a double"),
+    ("0 1" + "0" * 400, 2, "number too large for a double"),
 ]
 
 
+def _error_id(text, position):
+    shown = text if len(text) <= 40 else f"{text[:12]}...{len(text)}chars"
+    return f"{shown}-{position}"
+
+
 @pytest.mark.parametrize(
-    "text, position, message", _ERRORS, ids=[f"{t}-{p}" for t, p, _ in _ERRORS]
+    "text, position, message", _ERRORS, ids=[_error_id(t, p) for t, p, _ in _ERRORS]
 )
 def test_errors_carry_positions(text, position, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.position == position
     assert exc.value.message == message
+
+
+def test_like_terms_summing_past_a_double_raise_overflow_error():
+    # Each product's coefficient is finite; only their sum overflows.
+    big = "15" + "0" * 307
+    with pytest.raises(OverflowError, match="coefficient overflows a double") as exc:
+        parse(f"{big} x + {big} x")
+    assert not isinstance(exc.value, ParseError)
+    assert parse(f"{big} x - {big} x") == 0
+
+
+def test_a_product_of_numbers_that_overflows_is_also_an_overflow_error():
+    # Caught where any overflowing coefficient is, and placed.
+    with pytest.raises(OverflowError) as exc:
+        parse("x 1" + "0" * 200 + " 1" + "0" * 200)
+    assert isinstance(exc.value, ParseError)
+    assert (exc.value.position, exc.value.message) == (204, "coefficient overflows a double")
 
 
 def test_very_long_exponents():
