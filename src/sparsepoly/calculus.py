@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import operator
+from itertools import chain, repeat
 from typing import Sequence, Union
 
-from .core import _PAIRS, Mvp, _coefficient, check_finite, check_power, named_pairs, require_symbol
+from .core import (
+    _PAIRS, Mvp, _coefficient, _integer, check_finite, check_power, named_pairs, require_symbol,
+)
 from .parser import parse_or_lift
 
 
@@ -33,46 +35,46 @@ def _deriv_once(terms: dict, symbol: str) -> dict:
     return out
 
 
+def _derive(p: Mvp, symbols) -> Mvp:
+    """The steps of ``deriv``, by valid names.  Checks each result but the
+    last, which ``_from_clean`` checks, before the next step."""
+    terms = p._terms
+    for i, s in enumerate(symbols):
+        if not terms:
+            break
+        terms = _deriv_once(check_finite(terms) if i else terms, s)
+    return Mvp._from_clean(terms)
+
+
 def deriv(p: Mvp, variables: Union[str, Sequence[str]]) -> Mvp:
     """Successive partial derivatives, applied left to right.
 
     Per term, d/ds of c*s^k*R is c*k*s^(k-1)*R, valid for negative k;
     terms without the variable are dropped.  The result keeps the
-    input's stored term order.
+    input's stored term order.  Every name is checked first; the steps
+    stop at zero and raise OverflowError where a coefficient overflows.
     """
-    if isinstance(variables, str):
-        variables = [variables]
-    terms = p._terms
-    for s in variables:
-        terms = _deriv_once(terms, require_symbol(s))
-    return Mvp._from_clean(terms)
+    names = [variables] if isinstance(variables, str) else variables
+    return _derive(p, [require_symbol(s) for s in names])
 
 
 def aderiv(p: Mvp, orders=None, **by_name) -> Mvp:
     """Mixed partial of the given order per symbol.
 
-    ``aderiv(p, a=3, c=2)`` differentiates three times by ``a`` and twice
-    by ``c``; equivalent to ``deriv`` with each symbol repeated.  ``orders``
-    and the keywords are read by ``named_pairs``; a repeated symbol keeps
-    its last order, and every name is checked before any order.  Orders
-    must be nonnegative (order 0 is a no-op).  Differentiation stops once
-    the polynomial is zero, and raises OverflowError at the step where a
-    coefficient overflows a double, so any order takes at most a few
-    hundred steps per symbol: ``aderiv(x, x=10**9)`` is 0 at once.
+    ``aderiv(p, a=3, c=2)`` is ``deriv(p, ["a", "a", "a", "c", "c"])``,
+    value and errors alike, so ``aderiv(x, x=10**9)`` is 0 at once.
+    ``orders`` and the keywords are read by ``named_pairs``; a repeated
+    symbol keeps its last order, and every name is checked before any
+    order.  A non-integer order raises TypeError and a negative one
+    ValueError, each naming its symbol (order 0 is a no-op).
     """
     counts = []
     for s, k in dict(named_pairs(orders, by_name)).items():
-        k = operator.index(k)
+        k = _integer(f"derivative order for {s!r}", k)
         if k < 0:
             raise ValueError(f"derivative order for {s!r} must be nonnegative, got {k}")
-        counts.append((s, k))
-    terms = p._terms
-    for s, k in counts:
-        for _ in range(k):
-            if not terms:
-                break
-            terms = check_finite(_deriv_once(terms, s))
-    return Mvp._from_clean(terms)
+        counts.append(repeat(s, k))
+    return _derive(p, chain.from_iterable(counts))
 
 
 def horner(base: Union[Mvp, str], coeffs: Sequence[float]) -> Mvp:

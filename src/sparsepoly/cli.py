@@ -122,7 +122,7 @@ def _knight(_, args):
 def _rmvp(_, args):
     # A pool size is ASCII digits; anything else is a list of names.
     a = args.alphabet
-    alphabet = int(a) if a.isascii() and a.isdigit() else [s for s in a.split(",") if s]
+    alphabet = int(a) if a.isascii() and a.isdigit() else a.split(",")
     return rmvp(args.n_terms, args.symbols_per_term, args.max_power, alphabet, args.seed)
 
 

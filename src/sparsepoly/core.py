@@ -78,42 +78,15 @@ class PowerOverflowError(OverflowError):
     """A power left the signed 64-bit range during power arithmetic."""
 
 
-class Record:
-    """Base of the package's small immutable value classes.
+# Each NamedTuple value class binds these, having no other base: it equals
+# only its own class with equal fields, never a plain tuple (so False, not
+# NotImplemented), and hashes as its fields; tuple.__ne__ would not invert.
+def _value_eq(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    A subclass names its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``.  An instance equals only
-    an instance of the same class with equal fields, hashes and pickles by
-    its fields, and refuses assignment and deletion with AttributeError.
-    These are a frozen dataclass's value semantics, without the import of
-    ``dataclasses`` (and ``inspect``) that every CLI stage would pay for.
-    """
 
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
+_value_ne = object.__ne__
+_value_hash = tuple.__hash__
 
 
 def require_symbol(name: str) -> str:
@@ -255,6 +228,14 @@ def _coefficient(c) -> float:
     if isinstance(c, (str, bytes, bytearray)):
         raise TypeError(f"coefficient must be a number, not {type(c).__name__}: {c!r}")
     return float(c)
+
+
+def _integer(what: str, k) -> int:
+    """``operator.index(k)``; TypeError naming ``what`` if it refuses ``k``."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {k!r}") from None
 
 
 def add_terms(out: dict, pairs) -> dict:
@@ -444,7 +425,9 @@ class Mvp:
 
         if isinstance(other, (int, float)):
             return arith.divide(self, other)
-        raise TypeError("polynomials can only be divided by a number")
+        if isinstance(other, Mvp):
+            raise TypeError("polynomials can only be divided by a number")
+        return NotImplemented
 
     def __pow__(self, n):
         from . import arith

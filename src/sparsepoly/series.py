@@ -8,15 +8,17 @@ shift substitution to expand about a point.  A variable named like
 
 from __future__ import annotations
 
-import operator
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import Mvp, Record, group_by_power, named_pairs, power_of, require_symbol, total_degree
+from .core import (
+    Mvp, _integer, _value_eq, _value_hash, _value_ne, group_by_power, named_pairs, power_of,
+    require_symbol, total_degree,
+)
 from .parser import parse
 from .transform import subs
 
 
-class SeriesDecomposition(Record):
+class SeriesDecomposition(NamedTuple):
     """A polynomial regrouped by powers of one variable.
 
     ``components`` holds (power, coefficient) pairs sorted by ascending
@@ -24,12 +26,11 @@ class SeriesDecomposition(Record):
     reconstructs the source polynomial.
     """
 
-    __slots__ = __match_args__ = ("variable", "display", "components")
+    variable: str
+    display: Optional[str]
+    components: tuple
 
-    def __init__(self, variable: str, display: Optional[str], components: tuple):
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "display", display)
-        object.__setattr__(self, "components", components)
+    __eq__, __ne__, __hash__ = _value_eq, _value_ne, _value_hash
 
     def __str__(self) -> str:
         from .printer import render_series
@@ -97,7 +98,8 @@ def onevarpow(p: Mvp, targets=None, **by_name) -> Mvp:
     TypeError naming its symbol, before any term is read; every name is
     checked before any target.
     """
-    merged = {s: _target(s, k) for s, k in dict(named_pairs(targets, by_name)).items()}
+    merged = dict(named_pairs(targets, by_name))
+    merged = {s: _integer(f"target power of {s!r}", k) for s, k in merged.items()}
     # Stored powers are nonzero, so a term matches when its pairs on the
     # target symbols are exactly the nonzero targets, in symbol order.
     want = sorted(pair for pair in merged.items() if pair[1] != 0)
@@ -111,13 +113,6 @@ def onevarpow(p: Mvp, targets=None, **by_name) -> Mvp:
         if on == want:
             out[tuple(rest)] = c
     return Mvp._from_clean(out)
-
-
-def _target(symbol: str, k) -> int:
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise TypeError(f"target power of {symbol!r} must be an integer, got {k!r}") from None
 
 
 def _display_for(variable: str) -> Optional[str]:

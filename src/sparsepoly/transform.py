@@ -8,26 +8,23 @@ read as its items, and keyword arguments follow in call order.
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple
 
 from ._kernel import mul_terms, pow_terms
 from .core import (
-    _PAIRS, Mvp, Record, add_terms, check_power, constant, group_by_power, named_pairs,
-    split_term,
+    _PAIRS, Mvp, _value_eq, _value_hash, _value_ne, add_terms, check_power, constant,
+    group_by_power, named_pairs, split_term,
 )
 from .parser import parse_or_lift
 
 
-class Binding(Record):
+class Binding(NamedTuple):
     """One substitution step: replace ``symbol`` by ``value``; iterates as that pair."""
 
-    __slots__ = __match_args__ = ("symbol", "value")
+    symbol: str
+    value: Mvp
 
-    def __init__(self, symbol: str, value: Mvp):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "value", value)
-
-    def __iter__(self):
-        return iter((self.symbol, self.value))
+    __eq__, __ne__, __hash__ = _value_eq, _value_ne, _value_hash
 
 
 def _substitute_one(terms: dict, symbol: str, value: Mvp) -> dict:

@@ -3,6 +3,7 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -112,8 +113,13 @@ def test_reflected_subtraction_refuses_a_non_number():
 
 def test_scalar_division():
     assert parse("4 x") / 2 == parse("2 x")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="polynomials can only be divided by a number"):
         parse("x") / parse("y")
+    # Any other operand gets its reflected operation, as in multiplication.
+    assert parse("4 x") / np.int64(2) == parse("2 x")
+    assert (parse("3 x") / np.int64(10)).coefficient([("x", 1)]) == 0.3
+    with pytest.raises(TypeError, match="unsupported operand"):
+        parse("x") / "2"
 
 
 def test_division_divides_each_coefficient():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import strategies
 from helpers import norm_ws, random_mvp, time_limit
-from sparsepoly import Mvp, PowerOverflowError, aderiv, deriv, horner, parse, power, render
+from sparsepoly import Mvp, PowerOverflowError, aderiv, calculus, deriv, horner, parse, power, render
 
 S = parse("a + 5 a^5*b^2*c^8 -3 x^2 a^3 b c^3")
 
@@ -74,12 +74,46 @@ def test_aderiv_raises_at_the_overflowing_step():
         aderiv(parse(f"x^{-(2**63) + 2}"), x=10**9)
 
 
-def test_aderiv_equals_repeated_deriv():
+def outcome(f, *args, **kwargs):
+    """The result, or the type and message of the error raised."""
+    try:
+        return "ok", f(*args, **kwargs)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_aderiv_equals_repeated_deriv(monkeypatch):
     rng = random.Random(5)
     for _ in range(20):
         p = random_mvp(rng)
-        assert aderiv(p, x=2, y=1) == deriv(p, ["x", "x", "y"])
-        assert aderiv(p, {"a": 1, "b": 2}) == deriv(p, ["a", "b", "b"])
+        assert outcome(aderiv, p, x=2, y=1) == outcome(deriv, p, ["x", "x", "y"])
+        assert outcome(aderiv, p, {"a": 1, "b": 2}) == outcome(deriv, p, ["a", "b", "b"])
+    # The x step leaves an infinite coefficient that the y step would drop.
+    big = parse("1" + "0" * 308 + " x^2 + x y")
+    got = outcome(aderiv, big, x=1, y=1)
+    assert got == outcome(deriv, big, ["x", "y"])
+    assert got == (OverflowError, "coefficient overflows a double: inf")
+    # |coefficient| is n!, past a double at n = 171, with the sign of (-1)^n.
+    got = outcome(aderiv, parse("x^-1"), x=200000)
+    assert got == outcome(deriv, parse("x^-1"), ["x"] * 200000)
+    assert got == (OverflowError, "coefficient overflows a double: -inf")
+    # Both stop once the polynomial is zero: x, then 1, then nothing.
+    steps = []
+    once = calculus._deriv_once
+    monkeypatch.setattr(calculus, "_deriv_once", lambda t, s: steps.append(s) or once(t, s))
+    with time_limit(5):
+        assert deriv(parse("x"), ["x"] * 10**6).is_zero
+    assert len(steps) <= 2
+    # A name is checked before the first step, even one past the zero.
+    with pytest.raises(ValueError, match="invalid symbol"):
+        deriv(parse("x"), ["x", "x", "1bad"])
+
+
+def test_aderiv_names_the_symbol_of_a_non_integer_order():
+    for order in (1.5, "2", None):
+        with pytest.raises(TypeError) as info:
+            aderiv(parse("x^3 y"), y=1, x=order)
+        assert str(info.value) == f"derivative order for 'x' must be an integer, got {order!r}"
 
 
 @given(strategies.mvps, strategies.mvps)

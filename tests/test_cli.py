@@ -579,6 +579,10 @@ def test_rmvp_rejects_invalid_alphabet_names(capsys):
     assert code == 1
     assert out == ""
     assert "invalid symbol name" in err
+    # An empty entry is a name too, as in every other argument list.
+    for alphabet in ("a,,b", "a,", ","):
+        code, out, err = run(capsys, "rmvp", "3", "2", "2", alphabet)
+        assert (code, out, err) == (1, "", "sparsepoly: invalid symbol name: ''")
 
 
 @pytest.mark.parametrize("alphabet", ["\u0663", "\u00b2"], ids=["arabic-indic-3", "superscript-2"])

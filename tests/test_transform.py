@@ -12,7 +12,8 @@ from hypothesis import given, settings
 import strategies
 from helpers import eval_at, random_mvp, random_nonneg_mvp
 from sparsepoly import (
-    Binding, Mvp, aderiv, invert, onevarpow, parse, render, subs, subvec, trunc1,
+    Binding, Mvp, SeriesDecomposition, aderiv, invert, onevarpow, parse, render, series, subs,
+    subvec, trunc1,
 )
 
 S3 = parse("x + 5 x^4 y + 8 y^2 x z^3")
@@ -271,6 +272,19 @@ def test_binding_is_an_immutable_value():
         case Binding(symbol, value):
             assert (symbol, value) == ("a", x)
     assert list(b) == ["a", x] and tuple(b) != b
+
+
+def test_value_classes_are_named_tuples():
+    x = parse("x")
+    b = Binding("a", x)
+    assert b._fields == ("symbol", "value") and len(b) == 2 and b[1] is x
+    assert b._asdict() == {"symbol": "a", "value": x}
+    c = b._replace(symbol="b")
+    assert type(c) is Binding and c == Binding("b", x) and b.symbol == "a"
+    d = series(parse("1 + x^2 y"), "x")
+    e = d._replace(display="(x-a)")
+    assert type(e) is SeriesDecomposition
+    assert e == SeriesDecomposition("x", "(x-a)", d.components) != d
 
 
 def test_subs_takes_bindings_as_pairs():
